@@ -343,90 +343,6 @@ func BenchmarkExtSweep(b *testing.B) {
 	benchExperiment(b, "ext-sweep", "energy_J_kappa64KB", "energy_J_kappa1024KB")
 }
 
-// --- Sweep-family benches: checkpoint/fork prefix sharing ---
-//
-// Each pair runs the same sweep grid with and without the fork executor
-// (scenario.RunSweep vs one full scenario.Run per point). Outputs are
-// bit-identical (FuzzForkedRunEquivalence); the pair measures only the
-// wall-clock effect of never re-simulating a shared prefix.
-
-// benchSweep measures one sweep family. With forked=false every point
-// simulates in full, the pre-fork behaviour.
-func benchSweep(b *testing.B, forked bool, base scenario.Scenario, points []scenario.SweepPoint) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		seed := int64(i % 4)
-		if forked {
-			scenario.RunSweep(base, points, scenario.EMPTCP, scenario.Opts{Seed: seed})
-			continue
-		}
-		for j := range points {
-			scenario.Run(points[j].Scenario, scenario.EMPTCP, scenario.Opts{Seed: seed})
-		}
-	}
-}
-
-// sweepKappaGrid is the κ family in the regime the paper's delayed-
-// establishment argument targets: thresholds comparable to the transfer
-// size, so establishment lands late in the run (long shared prefix) and
-// the largest thresholds are never reached at all (full reuse).
-func sweepKappaGrid() (scenario.Scenario, []scenario.SweepPoint) {
-	sc := scenario.StaticLab(energy.GalaxyS3(), 4, 4.5, workload.FileDownload{Size: 4 * units.MB})
-	return scenario.KappaSweep(sc, []units.ByteSize{
-		1 * units.MB, 2 * units.MB, 3 * units.MB, 4 * units.MB,
-		6 * units.MB, 8 * units.MB, 12 * units.MB, 16 * units.MB,
-	})
-}
-
-func BenchmarkSweepKappaForked(b *testing.B) {
-	base, points := sweepKappaGrid()
-	benchSweep(b, true, base, points)
-}
-
-func BenchmarkSweepKappaUnforked(b *testing.B) {
-	base, points := sweepKappaGrid()
-	benchSweep(b, false, base, points)
-}
-
-// sweepTauGrid is the τ family on a bad-WiFi download sized so the
-// escape timers fire in the back half of the run. τ is the fork
-// executor's hardest family — every variant diverges at its own timer
-// and re-simulates the event-dense post-establishment tail — so this
-// pair mostly documents that forking never loses, while the κ and
-// safety pairs show the prefix-sharing win.
-func sweepTauGrid() (scenario.Scenario, []scenario.SweepPoint) {
-	sc := scenario.StaticLab(energy.GalaxyS3(), 0.5, 4.5, workload.FileDownload{Size: 2 * units.MB})
-	return scenario.TauSweep(sc, []float64{5, 6, 7, 8, 9, 10, 11, 12})
-}
-
-func BenchmarkSweepTauForked(b *testing.B) {
-	base, points := sweepTauGrid()
-	benchSweep(b, true, base, points)
-}
-
-func BenchmarkSweepTauUnforked(b *testing.B) {
-	base, points := sweepTauGrid()
-	benchSweep(b, false, base, points)
-}
-
-// sweepSafetyGrid is the hysteresis safety-factor family: on steady
-// links most factors make the same path-usage decisions, so most points
-// collapse into the shared prefix entirely.
-func sweepSafetyGrid() (scenario.Scenario, []scenario.SweepPoint) {
-	sc := scenario.StaticLab(energy.GalaxyS3(), 4, 4.5, workload.FileDownload{Size: 4 * units.MB})
-	return scenario.SafetySweep(sc, []float64{0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60})
-}
-
-func BenchmarkSweepSafetyForked(b *testing.B) {
-	base, points := sweepSafetyGrid()
-	benchSweep(b, true, base, points)
-}
-
-func BenchmarkSweepSafetyUnforked(b *testing.B) {
-	base, points := sweepSafetyGrid()
-	benchSweep(b, false, base, points)
-}
-
 func BenchmarkExtHOL(b *testing.B) {
 	benchExperiment(b, "ext-hol", "completion_s_unlimited")
 }

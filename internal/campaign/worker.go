@@ -18,8 +18,8 @@ import (
 // Worker is the pull side of the shard-lease protocol: a process (or an
 // in-process test fixture) that polls a coordinator for running
 // campaigns, leases shards, executes them with the full local stack —
-// lockstep lanes, checkpoint fork, its own disk store — and streams the
-// bit-exact shard aggregates back. Workers are stateless from the
+// lockstep lanes, its own disk store — and streams the bit-exact shard
+// aggregates back. Workers are stateless from the
 // coordinator's point of view: one can join mid-campaign, die mid-shard
 // (the lease expires and the shard reassigns), or race another worker
 // to a completion (first write wins) without perturbing the output

@@ -44,9 +44,10 @@ type Config struct {
 	// simulate each distinct (scenario, protocol, seed, options) run
 	// once. Tables are byte-identical with the cache on or off.
 	Cache *scenario.RunCache
-	// NoFork disables checkpoint/fork prefix sharing for sweep families,
-	// simulating every sweep point in full. Output is byte-identical
-	// either way; forking only changes wall-clock time.
+	// NoFork is read by no code: sweep points always run as ordinary
+	// scenario runs.
+	//
+	// Deprecated: ignored.
 	NoFork bool
 	// NoLockstep disables lane-batched replication (internal/lockstep)
 	// for repeated same-scenario runs, simulating every seed through the
@@ -117,7 +118,6 @@ type execPath int
 const (
 	pathScalar   execPath = iota // independent scenario.Run per seed
 	pathCached   execPath = iota // scalar runs memoized through cfg.Cache
-	pathFork     execPath = iota // checkpoint/fork prefix sharing (sweeps)
 	pathLockstep execPath = iota // lane-batched replication (lockstep.Run)
 )
 
@@ -125,8 +125,6 @@ func (p execPath) String() string {
 	switch p {
 	case pathCached:
 		return "cached"
-	case pathFork:
-		return "fork"
 	case pathLockstep:
 		return "lockstep"
 	default:
@@ -134,20 +132,14 @@ func (p execPath) String() string {
 	}
 }
 
-// selectPath decides how a group of k same-scenario replications (or, with
-// sweep set, one k-seeded sweep family) executes. Tracing observes runs
-// in-line and always forces the scalar path; the cache composes with every
-// path, so pathCached is reported only when no batching applies.
-func selectPath(cfg Config, sc scenario.Scenario, proto scenario.Protocol, k int, sweep bool) execPath {
+// selectPath decides how a group of k same-scenario replications
+// executes. Tracing observes runs in-line and always forces the scalar
+// path; the cache composes with every path, so pathCached is reported only
+// when no batching applies.
+func selectPath(cfg Config, sc scenario.Scenario, proto scenario.Protocol, k int) execPath {
 	opt := scenario.Opts{Cache: cfg.Cache}
-	if cfg.Trace == nil {
-		if sweep {
-			if !cfg.NoFork && scenario.ForkEligible(sc, proto, opt) {
-				return pathFork
-			}
-		} else if !cfg.NoLockstep && k >= 4 && lockstep.Eligible(sc, proto, opt) {
-			return pathLockstep
-		}
+	if cfg.Trace == nil && !cfg.NoLockstep && k >= 4 && lockstep.Eligible(sc, proto, opt) {
+		return pathLockstep
 	}
 	if cfg.Cache != nil {
 		if _, ok := scenario.CacheKey(sc, proto, opt); ok {
@@ -165,7 +157,7 @@ func selectPath(cfg Config, sc scenario.Scenario, proto scenario.Protocol, k int
 func replicateGrid(cfg Config, sc scenario.Scenario, protos []scenario.Protocol, runs int) []scenario.Result {
 	lanes := false
 	for _, p := range protos {
-		if selectPath(cfg, sc, p, runs, false) == pathLockstep {
+		if selectPath(cfg, sc, p, runs) == pathLockstep {
 			lanes = true
 			break
 		}
@@ -182,7 +174,7 @@ func replicateGrid(cfg Config, sc scenario.Scenario, protos []scenario.Protocol,
 	}
 	groups := runner.Map(cfg.pool(), len(protos), func(pi int) []scenario.Result {
 		p := protos[pi]
-		if selectPath(cfg, sc, p, runs, false) == pathLockstep {
+		if selectPath(cfg, sc, p, runs) == pathLockstep {
 			return lockstep.Run(sc, p, seeds, scenario.Opts{Cache: cfg.Cache})
 		}
 		out := make([]scenario.Result, runs)
@@ -198,33 +190,14 @@ func replicateGrid(cfg Config, sc scenario.Scenario, protos []scenario.Protocol,
 	return out
 }
 
-// sweepRuns evaluates one sweep family — len(points) parameterisations ×
-// nSeeds seeded repetitions — and returns results point-major
-// (results[p*nSeeds+s]), the layout the sweep tables consume. Each seed's
-// points form one prefix-shared fork tree (scenario.RunSweep) and one
-// worker-pool item, so seeds parallelize under -j while forks within a
-// tree stay sequential on one RunState. Results are bit-identical to
-// running every point individually; tracing (which observes runs in-line)
-// and NoFork fall back to exactly that, with the same recorder numbering
-// as any other point-major grid.
-func sweepRuns(cfg Config, nSeeds int, base scenario.Scenario, points []scenario.SweepPoint) []scenario.Result {
-	if selectPath(cfg, base, scenario.EMPTCP, nSeeds, true) != pathFork {
-		return repeatRuns(cfg, len(points)*nSeeds, func(j int, opt scenario.Opts) scenario.Result {
-			opt.Seed = cfg.BaseSeed + int64(j%nSeeds)
-			return scenario.Run(points[j/nSeeds].Scenario, scenario.EMPTCP, opt)
-		})
-	}
-	trees := runner.Map(cfg.pool(), nSeeds, func(s int) []scenario.Result {
-		return scenario.RunSweep(base, points, scenario.EMPTCP,
-			scenario.Opts{Seed: cfg.BaseSeed + int64(s), Cache: cfg.Cache})
+// sweepRuns evaluates len(points) eMPTCP parameterisations × nSeeds
+// seeded repetitions and returns results point-major
+// (results[p*nSeeds+s]), the layout the sweep tables consume.
+func sweepRuns(cfg Config, nSeeds int, points []scenario.Scenario) []scenario.Result {
+	return repeatRuns(cfg, len(points)*nSeeds, func(j int, opt scenario.Opts) scenario.Result {
+		opt.Seed = cfg.BaseSeed + int64(j%nSeeds)
+		return scenario.Run(points[j/nSeeds], scenario.EMPTCP, opt)
 	})
-	out := make([]scenario.Result, len(points)*nSeeds)
-	for s, tree := range trees {
-		for p := range points {
-			out[p*nSeeds+s] = tree[p]
-		}
-	}
-	return out
 }
 
 // Output is what an experiment produces.

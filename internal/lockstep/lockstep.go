@@ -44,7 +44,7 @@ import (
 
 // Lane/peel counters, exposed through Stats for emptcpsim -v and the
 // campaign progress report (which assert the lockstep path actually
-// executed, mirroring scenario.ForkStats).
+// executed).
 var (
 	nLaneRuns atomic.Int64
 	nPeels    atomic.Int64
@@ -109,8 +109,8 @@ func workShape(w workload.Workload) (size units.ByteSize, uplink bool, ok bool) 
 // caller must have checked Eligible. With opt.Cache set, seeds are
 // memoized individually under their scalar cache keys: a fully-cached
 // batch never simulates, and a partially-cached one simulates the whole
-// batch once (the fork-tree precedent — recomputing k lanes costs less
-// than fragmenting the stripe).
+// batch once (recomputing k lanes costs less than fragmenting the
+// stripe).
 func Run(sc scenario.Scenario, proto scenario.Protocol, seeds []int64, opt scenario.Opts) []scenario.Result {
 	return RunAppend(nil, sc, proto, seeds, opt)
 }
@@ -131,7 +131,7 @@ func RunAppend(dst []scenario.Result, sc scenario.Scenario, proto scenario.Proto
 	}
 	// Per-seed memoization over one lazily-computed batch: the batch
 	// simulates inside the first missing seed's Do, so a fully-cached
-	// batch never fires it (the RunSweep composition).
+	// batch never fires it.
 	var (
 		once  sync.Once
 		batch []scenario.Result

@@ -156,6 +156,11 @@ func OpenStore(dir string) (*Store, error) {
 // recoverSegment scans one segment sequentially, indexing every intact
 // record and truncating the file at the first torn or corrupt one.
 func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("runcache: stat segment: %w", err)
+	}
+	size := fi.Size()
 	r := io.Reader(f)
 	var off int64
 	hdr := make([]byte, recHeaderSize)
@@ -167,8 +172,14 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 		if [4]byte(hdr[:4]) != diskMagic {
 			break
 		}
-		n := binary.LittleEndian.Uint32(hdr[36:40])
-		if cap(val) < int(n)+4 {
+		// A corrupt length field must neither wrap the arithmetic nor
+		// size an allocation: a record longer than a segment or than the
+		// bytes left in this file is a torn tail.
+		n := int64(binary.LittleEndian.Uint32(hdr[36:40]))
+		if n > maxSegmentSize || off+recHeaderSize+n+4 > size {
+			break
+		}
+		if int64(cap(val)) < n+4 {
 			val = make([]byte, n+4)
 		}
 		val = val[:n+4]
@@ -185,10 +196,10 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 		copy(k[:], hdr[4:36])
 		sh := s.shard(k)
 		if _, dup := sh.index[k]; !dup {
-			sh.index[k] = diskLoc{seg: segIdx, off: off + recHeaderSize, size: n}
+			sh.index[k] = diskLoc{seg: segIdx, off: off + recHeaderSize, size: uint32(n)}
 			s.count++
 		}
-		off += recHeaderSize + int64(n) + 4
+		off += recHeaderSize + n + 4
 	}
 	if err := f.Truncate(off); err != nil {
 		return 0, fmt.Errorf("runcache: truncating torn tail: %w", err)

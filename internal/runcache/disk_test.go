@@ -2,9 +2,11 @@ package runcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -181,6 +183,77 @@ func TestDiskStoreGarbageTailRecovery(t *testing.T) {
 	defer s2.Close()
 	if s2.Len() != 5 {
 		t.Fatalf("Len=%d want 5", s2.Len())
+	}
+}
+
+// TestDiskStoreCorruptLengthRecovery overwrites a record's length field
+// with values that once crashed or bloated recovery — 0xFFFFFFFC wrapped
+// the 32-bit n+4 and sliced out of bounds, and a length near 2 GiB was
+// allocated before the read failed — while leaving its magic intact.
+// Recovery must treat the record as a torn tail: keep the records before
+// it, truncate the file at it, and allocate nothing near the bogus size.
+func TestDiskStoreCorruptLengthRecovery(t *testing.T) {
+	for _, n := range []uint32{0xFFFFFFFC, 0x7FFFFFF0} {
+		t.Run(fmt.Sprintf("len=%#x", n), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := s.Put(testKey(i), []byte(fmt.Sprintf("v%02d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+
+			// Every record is recHeaderSize + 3 (value) + 4 (crc) bytes;
+			// corrupt the length of record 2.
+			seg := filepath.Join(dir, "cache-000001.seg")
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recSize := recHeaderSize + 3 + 4
+			binary.LittleEndian.PutUint32(raw[2*recSize+36:], n)
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s2, err := OpenStore(dir)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			defer s2.Close()
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("recovery allocated %d bytes for a corrupt length", grew)
+			}
+			if s2.Len() != 2 {
+				t.Fatalf("Len=%d want 2 (the records before the corrupt one)", s2.Len())
+			}
+			for i := 0; i < 4; i++ {
+				v, ok, err := s2.Get(testKey(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != (i < 2) {
+					t.Errorf("record %d: present=%v want %v", i, ok, i < 2)
+				}
+				if ok && string(v) != fmt.Sprintf("v%02d", i) {
+					t.Errorf("record %d: %q", i, v)
+				}
+			}
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(2*recSize) {
+				t.Errorf("segment size %d, want truncation at the corrupt record (%d)", fi.Size(), 2*recSize)
+			}
+		})
 	}
 }
 

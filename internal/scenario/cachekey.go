@@ -51,9 +51,6 @@ func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	if sc.CoreConfig != nil {
 		fmt.Fprintf(h, "core|%+v\n", *sc.CoreConfig)
 	}
-	if sc.EIBConfig != nil {
-		fmt.Fprintf(h, "eib|%+v\n", *sc.EIBConfig)
-	}
 	fmt.Fprintf(h, "work|%T|%+v\n", sc.Work, sc.Work)
 	fmt.Fprintf(h, "run|%d|%d|%t|%v\n", proto, opt.Seed, opt.Trace, opt.TraceStep)
 	var k runcache.Key

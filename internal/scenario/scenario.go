@@ -103,10 +103,6 @@ type Scenario struct {
 	// (κ, τ, predictor smoothing, the MinRate extension). Nil uses the
 	// paper's defaults.
 	CoreConfig *core.Config
-	// EIBConfig, when non-nil, overrides the energy-information-base
-	// generation parameters (grid, hysteresis safety factor). The Uplink
-	// direction is still forced per connection. Nil uses eib.DefaultConfig.
-	EIBConfig *eib.Config
 	// AppPower is a constant application power draw (browser rendering,
 	// video decode) charged while the session is active — the component
 	// the paper's §5.4 web measurements include. Zero by default.
@@ -206,8 +202,6 @@ type run struct {
 	meterLastUp [energy.NumInterfaces]units.ByteSize
 	lteTouched  bool
 
-	probe func(core.TickRecord)
-
 	conns     []*mptcp.Connection
 	ctls      []*core.Controller
 	mdpPol    *baseline.MDPPolicy
@@ -233,6 +227,12 @@ type associationSource interface {
 	OnAssociationChange(func(bool))
 }
 
+// ForkStats always returns (0, 0): sweeps run every point as an ordinary
+// Run, so no sweep tree is ever forked.
+//
+// Deprecated: kept only for callers of the removed fork counters.
+func ForkStats() (trees, runs int64) { return 0, 0 }
+
 // Run executes one scenario under one protocol and returns its Result.
 // Run state (engine, accountant, subflow arena, scratch buffers) is drawn
 // from a process-wide pool and reused between runs; a pooled run is
@@ -253,26 +253,16 @@ func runPooled(sc Scenario, proto Protocol, opt Opts) Result {
 	// Deferred so a panicking run still returns its state to the pool:
 	// reset rebuilds every piece from scratch, so a state abandoned
 	// mid-run is as reusable as a clean one, and the pool does not
-	// drain one slot per failure (the allocation mirror of PR 6's
-	// round-record leak).
+	// drain one slot per failure (the allocation mirror of the subflow
+	// round-record leak that initSubflow reclaims).
 	defer statePool.Put(st)
 	return st.runOne(sc, proto, opt)
 }
 
-// runOne executes one run on this state's reused allocations.
+// runOne executes one run on this state's reused allocations: it wires
+// the links, paths, protocol, power-monitor ticker and workload, sets the
+// horizon, drives the engine to completion and collects the Result.
 func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
-	r := st.launch(sc, proto, opt, nil)
-	r.eng.Run()
-	return r.collect()
-}
-
-// launch assembles a run up to (but not including) driving the engine:
-// links, paths, the protocol wiring, the power-monitor ticker, and the
-// workload are all in place, with the horizon set, so the caller can run
-// the engine in stages (the fork executor pauses at divergence barriers).
-// probe, when non-nil, is attached to every eMPTCP controller the run
-// creates; probed execution is bit-identical to unprobed.
-func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(core.TickRecord)) *run {
 	if sc.Device == nil || sc.WiFi == nil || sc.LTE == nil || sc.Work == nil {
 		panic("scenario: incomplete scenario")
 	}
@@ -280,7 +270,6 @@ func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(cor
 		opt.TraceStep = 1
 	}
 	r := st.reset(sc, proto, opt)
-	r.probe = probe
 	r.acct.SetExtraBase(sc.AppPower)
 	r.acct.SetSessionActive(true)
 	if opt.Recorder != nil {
@@ -320,7 +309,8 @@ func (st *RunState) launch(sc Scenario, proto Protocol, opt Opts, probe func(cor
 		horizon = defaultHorizon
 	}
 	r.eng.Horizon = horizon
-	return r
+	r.eng.Run()
+	return r.collect()
 }
 
 // flushMeter advances the accountant to now with the throughput observed
@@ -456,9 +446,6 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 		// Upload connections decide from the uplink table: cellular
 		// transmit power shifts every threshold.
 		eibCfg := eib.DefaultConfig()
-		if r.sc.EIBConfig != nil {
-			eibCfg = *r.sc.EIBConfig
-		}
 		eibCfg.Uplink = uplink
 		table := eib.GenerateCached(r.sc.Device, eibCfg)
 		lteCfg := tcp.DefaultConfig()
@@ -472,7 +459,6 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 				return conn.AddSubflow("lte", energy.LTE, r.ltePath, &lteCfg, extraDelay)
 			})
 		ctl.Record = r.opt.Trace
-		ctl.Probe = r.probe
 		r.ctls = append(r.ctls, ctl)
 
 	case WiFiFirst:
