@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	emptcpsim [-device s3|n5] [-seed N] [-quick] [-csv] [-j N]
-//	          [-cache=false] [-v] [-trace FILE] [-metrics FILE]
+//	emptcpsim [-device s3|n5] [-seed N] [-quick] [-csv] [-j N] [-v]
+//	          [-trace FILE] [-metrics FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] [experiment ...]
 //	emptcpsim campaign [-cachedir DIR] [-j N] [-o FILE] [-v] (SPEC.json | - | wild)
 //	emptcpsim serve [-addr HOST:PORT] [-cachedir DIR] [-j N] [-token T] [-lease-ttl D]
@@ -23,12 +23,9 @@
 // counters and time series; both require exactly one experiment id so the
 // run numbering is meaningful, and both are byte-identical at any -j.
 //
-// Runs are memoized in a process-wide cache shared by all requested
-// experiments, so overlapping grids (shared baselines, repeated ablation
-// arms) simulate each distinct run once; output is byte-identical with
-// -cache=false. -v prints cache and lockstep statistics to stderr after
-// the run. -cpuprofile and -memprofile write pprof profiles of the whole
-// invocation for `go tool pprof`.
+// -v prints lockstep statistics to stderr after the run. -cpuprofile and
+// -memprofile write pprof profiles of the whole invocation for
+// `go tool pprof`.
 package main
 
 import (
@@ -46,7 +43,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/lockstep"
 	"repro/internal/runner"
-	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -87,9 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", runtime.NumCPU(), "worker count for parallel runs (1 = sequential)")
 	traceFile := fs.String("trace", "", "write a JSONL trace-event timeline to FILE (single experiment only)")
 	metricsFile := fs.String("metrics", "", "write per-run JSON metrics to FILE (single experiment only)")
-	useCache := fs.Bool("cache", true, "memoize identical runs across experiments")
 	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
-	verbose := fs.Bool("v", false, "print cache and lockstep statistics to stderr")
+	verbose := fs.Bool("v", false, "print lockstep statistics to stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to FILE")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to FILE on exit")
 	if err := fs.Parse(args); err != nil {
@@ -136,9 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := exp.Config{BaseSeed: *seed, Quick: *quickMode, Jobs: *jobs, NoLockstep: !*useLockstep}
-	if *useCache {
-		cfg.Cache = scenario.NewRunCache()
-	}
 	switch *device {
 	case "s3":
 		cfg.Device = energy.GalaxyS3()
@@ -232,9 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		// Stats go to stderr so stdout stays byte-identical for goldens.
-		hits, misses, waits := cfg.Cache.FlightStats()
 		lanes, peels := lockstep.Stats()
-		fmt.Fprintf(stderr, "runcache: %d hits, %d misses, %d single-flight waits\n", hits, misses, waits)
 		fmt.Fprintf(stderr, "lockstep: %d lane runs, %d peeled\n", lanes, peels)
 	}
 	return 0

@@ -14,7 +14,7 @@ import (
 )
 
 // The replay path's per-run budget: cellAt must stay in the
-// nanoseconds, and cacheKey's ~20µs is why Job memoizes keys for
+// nanoseconds, and CacheKey's ~20µs is why Job memoizes keys for
 // replicated grids.
 func BenchmarkRunAtAndKey(b *testing.B) {
 	g, err := compile(smallSpec())

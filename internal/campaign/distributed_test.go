@@ -3,8 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -116,29 +118,35 @@ func TestLeaseTableRelease(t *testing.T) {
 	}
 }
 
-func TestShardCodecRoundTrip(t *testing.T) {
-	spec := smallSpec()
-	ref := runToBytes(t, spec, Options{Jobs: 1})
-
+// shardPayloads folds every shard of spec locally and encodes each as a
+// worker reporting 7 simulated runs and 3 disk hits would. It returns
+// the payloads, the spec digest and the campaign's cell count.
+func shardPayloads(tb testing.TB, spec Spec) (payloads [][]byte, digest [32]byte, cells int) {
+	tb.Helper()
 	j, err := New(spec, Options{Jobs: 1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	jspec := j.Spec()
-	digest, err := jspec.Digest()
-	if err != nil {
-		t.Fatal(err)
+	if digest, err = jspec.Digest(); err != nil {
+		tb.Fatal(err)
 	}
 	e := j.exec
-	var payloads [][]byte
 	for s := uint64(0); s < e.nShards(); s++ {
 		a, err := e.foldShard(s, nil, nil)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		lo, hi := e.shardRange(s)
 		payloads = append(payloads, encodeShardAgg(digest, s, hi-lo, 7, 3, a))
 	}
+	return payloads, digest, e.g.cells()
+}
+
+func TestShardCodecRoundTrip(t *testing.T) {
+	spec := smallSpec()
+	ref := runToBytes(t, spec, Options{Jobs: 1})
+	payloads, digest, cells := shardPayloads(t, spec)
 
 	// Decoding and merging the wire forms reproduces the reference
 	// bytes exactly: the codec is bit-transparent.
@@ -147,7 +155,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, p := range payloads {
-		rep, err := decodeShardAgg(p, e.g.cells())
+		rep, err := decodeShardAgg(p, cells)
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
@@ -171,13 +179,13 @@ func TestShardCodecRoundTrip(t *testing.T) {
 	// Corruption and structural mismatches are rejected.
 	bad := append([]byte(nil), payloads[0]...)
 	bad[len(bad)-6] ^= 1
-	if _, err := decodeShardAgg(bad, e.g.cells()); err == nil || !strings.Contains(err.Error(), "crc") {
+	if _, err := decodeShardAgg(bad, cells); err == nil || !strings.Contains(err.Error(), "crc") {
 		t.Fatalf("corrupted payload decoded: %v", err)
 	}
-	if _, err := decodeShardAgg(payloads[0], e.g.cells()+1); err == nil {
+	if _, err := decodeShardAgg(payloads[0], cells+1); err == nil {
 		t.Fatal("wrong cell count decoded")
 	}
-	if _, err := decodeShardAgg(payloads[0][:10], e.g.cells()); err == nil {
+	if _, err := decodeShardAgg(payloads[0][:10], cells); err == nil {
 		t.Fatal("truncated payload decoded")
 	}
 }
@@ -513,6 +521,25 @@ func TestServerShardEndpointValidation(t *testing.T) {
 	digest, _ := jspec.Digest()
 	lo, hi := j.exec.shardRange(0)
 	payload := encodeShardAgg(digest, 0, hi-lo, 0, 0, a)
+	// Well-framed payloads whose cells no fold of real runs produces are
+	// rejected before the job is consulted. Shard 0's runs all land in
+	// cell 0.
+	energy := cellOff(0) + offEnergy
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"NaN mean", func(b []byte) { putF64(b, energy+offMean, math.NaN()) }},
+		{"negative m2", func(b []byte) { putF64(b, energy+offM2, -1) }},
+		{"min > max", func(b []byte) {
+			putF64(b, energy+offMin, math.Float64frombits(binary.LittleEndian.Uint64(b[energy+offMax:]))+1)
+		}},
+		{"cell runs do not sum to header", func(b []byte) { put64(b, cellOff(0)+offRuns, hi-lo+1) }},
+	} {
+		if code := post("/campaigns/"+p.ID+"/shards/0", patchShard(payload, tc.edit)); code != http.StatusBadRequest {
+			t.Errorf("%s payload = %d, want 400", tc.name, code)
+		}
+	}
 	if code := post("/campaigns/"+p.ID+"/shards/0", payload); code != http.StatusGone {
 		t.Fatalf("completion on done campaign = %d, want 410", code)
 	}

@@ -71,9 +71,9 @@ type Progress struct {
 	// RemoteRuns counts runs folded by remote workers' shard
 	// completions (included in RunsDone).
 	RemoteRuns uint64 `json:"remote_runs"`
-	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide): how
-	// many replications executed as lockstep lanes and how many were
-	// peeled back to the scalar engine.
+	// LaneRuns/LanePeels count this campaign's local replications that
+	// executed as lockstep lanes and those peeled back to the scalar
+	// engine (remote workers' lanes are not reported back).
 	LaneRuns  int64 `json:"lane_runs"`
 	LanePeels int64 `json:"lane_peels"`
 	// Leases is the shard-lease table snapshot: how the campaign is
@@ -115,6 +115,8 @@ type executor struct {
 
 	simulated atomic.Uint64
 	diskHits  atomic.Uint64
+	laneRuns  atomic.Int64
+	lanePeels atomic.Int64
 
 	// reported-counter cursors for per-shard completion reports; see
 	// counterDelta.
@@ -290,7 +292,10 @@ func (b *laneBlock) result(i uint64) (scenario.Result, bool) {
 		for k := range seeds {
 			seeds[k] = seed0 + int64(k)
 		}
-		b.results = lockstep.Run(sc, proto, seeds, scenario.Opts{})
+		var peels int
+		b.results, peels = lockstep.RunAppend(nil, sc, proto, seeds, scenario.Opts{})
+		b.e.laneRuns.Add(int64(len(seeds) - peels))
+		b.e.lanePeels.Add(int64(peels))
 		b.laned = true
 	})
 	if !b.laned {
@@ -658,7 +663,6 @@ func (j *Job) deliver(s uint64, a *agg) {
 // Progress snapshots the job. The aggregate snapshot covers the merged
 // contiguous prefix, so its numbers are exact for the runs they count.
 func (j *Job) Progress() Progress {
-	laneRuns, lanePeels := lockstep.Stats()
 	done := j.runsDone.Load()
 	sim := j.exec.simulated.Load() + j.remoteSim.Load()
 	ls := j.leases.state()
@@ -670,8 +674,8 @@ func (j *Job) Progress() Progress {
 		Simulated:  sim,
 		DiskHits:   j.exec.diskHits.Load() + j.remoteHits.Load(),
 		RemoteRuns: j.remoteRuns.Load(),
-		LaneRuns:   laneRuns,
-		LanePeels:  lanePeels,
+		LaneRuns:   j.exec.laneRuns.Load(),
+		LanePeels:  j.exec.lanePeels.Load(),
 		Leases:     &ls,
 	}
 	if done > 0 {

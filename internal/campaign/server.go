@@ -417,7 +417,8 @@ type Statz struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CachePuts    uint64 `json:"cache_puts"`
 	CacheEntries int    `json:"cache_entries"`
-	// LaneRuns/LanePeels mirror lockstep.Stats (process-wide counters).
+	// LaneRuns/LanePeels mirror lockstep.Stats: process-wide totals,
+	// where each campaign's Progress counts its own.
 	LaneRuns  int64 `json:"lane_runs"`
 	LanePeels int64 `json:"lane_peels"`
 	// Campaigns carries each campaign's execution counters and lease

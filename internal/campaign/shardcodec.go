@@ -82,6 +82,9 @@ func encodeShardAgg(digest [32]byte, shard, runs, simulated, diskHits uint64, a 
 // decodeShardAgg parses and validates a shard completion. wantCells
 // guards the merge: a payload whose cell count disagrees with the
 // campaign's grid is structurally wrong regardless of its checksum.
+// Each cell must also be a possible fold of its runs (see
+// cellAcc.validate), and the cells' runs must sum to the header's, so a
+// buggy worker cannot merge NaN or impossible counts into the campaign.
 func decodeShardAgg(b []byte, wantCells int) (shardReport, error) {
 	var r shardReport
 	if len(b) < shardHeaderSize+4 {
@@ -124,6 +127,7 @@ func decodeShardAgg(b []byte, wantCells int) (shardReport, error) {
 		mean, m2, mn, mx := f64(), f64(), f64(), f64()
 		return stats.StreamFromMoments(n, mean, m2, mn, mx)
 	}
+	var runs uint64
 	for i := 0; i < nCells; i++ {
 		c := &r.agg.cells[i]
 		c.runs = n64()
@@ -132,6 +136,46 @@ func decodeShardAgg(b []byte, wantCells int) (shardReport, error) {
 		c.energy = stream()
 		c.dltime = stream()
 		c.jpb = stream()
+		if err := c.validate(); err != nil {
+			return shardReport{}, fmt.Errorf("campaign: shard payload cell %d: %w", i, err)
+		}
+		if c.runs > r.runs-runs {
+			return shardReport{}, fmt.Errorf("campaign: shard payload cells hold more than its %d runs", r.runs)
+		}
+		runs += c.runs
+	}
+	if runs != r.runs {
+		return shardReport{}, fmt.Errorf("campaign: shard payload cells hold %d runs, header says %d", runs, r.runs)
 	}
 	return r, nil
+}
+
+// validate reports why c cannot be a fold of c.runs results: counts
+// above runs, or a stream whose moments no sequence of finite samples
+// produces. An empty stream must carry the zero moments the encoder
+// writes for one.
+func (c *cellAcc) validate() error {
+	if c.completed > c.runs || c.lteUsed > c.runs {
+		return fmt.Errorf("completed %d or lte_used %d exceeds runs %d", c.completed, c.lteUsed, c.runs)
+	}
+	for _, st := range [...]*stats.Stream{&c.energy, &c.dltime, &c.jpb} {
+		n, mean, m2, mn, mx := st.Moments()
+		finite := true
+		var bits uint64
+		for _, f := range [...]float64{mean, m2, mn, mx} {
+			finite = finite && !math.IsNaN(f) && !math.IsInf(f, 0)
+			bits |= math.Float64bits(f)
+		}
+		switch {
+		case n > c.runs:
+			return fmt.Errorf("stream holds %d samples, cell has %d runs", n, c.runs)
+		case n == 0 && bits != 0:
+			return fmt.Errorf("empty stream with non-zero moments")
+		case n > 0 && !finite:
+			return fmt.Errorf("non-finite stream moments")
+		case n > 0 && (m2 < 0 || mn > mx):
+			return fmt.Errorf("impossible stream moments: m2 %g, min %g, max %g", m2, mn, mx)
+		}
+	}
+	return nil
 }

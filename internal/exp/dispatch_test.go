@@ -11,13 +11,12 @@ import (
 )
 
 // TestSelectPath pins the execution-path choice for every eligibility
-// combination, so an edit to lockstep/cache eligibility rules cannot
+// combination, so an edit to lockstep eligibility rules cannot
 // silently drop a replication group onto a slower path (or push an
 // ineligible one onto a fast path).
 func TestSelectPath(t *testing.T) {
 	lab := scenario.StaticLab(energy.GalaxyS3(), 8, 6, workload.FileDownload{Size: 2 * units.MB})
 	mob := scenario.Mobility(energy.GalaxyS3())
-	cache := scenario.NewRunCache()
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -29,12 +28,9 @@ func TestSelectPath(t *testing.T) {
 		{"replication k=5 eligible", Config{}, lab, scenario.MPTCP, 5, pathLockstep},
 		{"replication k=4 boundary", Config{}, lab, scenario.TCPWiFi, 4, pathLockstep},
 		{"replication k=3 too small", Config{}, lab, scenario.MPTCP, 3, pathScalar},
-		{"replication k=3 with cache", Config{Cache: cache}, lab, scenario.MPTCP, 3, pathCached},
 		{"NoLockstep escape hatch", Config{NoLockstep: true}, lab, scenario.MPTCP, 5, pathScalar},
-		{"NoLockstep with cache", Config{NoLockstep: true, Cache: cache}, lab, scenario.MPTCP, 5, pathCached},
 		{"tracing forces scalar", Config{Trace: &trace.Collector{}}, lab, scenario.MPTCP, 5, pathScalar},
 		{"emptcp not laned", Config{}, lab, scenario.EMPTCP, 5, pathScalar},
-		{"emptcp not laned, cached", Config{Cache: cache}, lab, scenario.EMPTCP, 5, pathCached},
 		{"streaming workload not laned", Config{}, scenario.StaticLab(energy.GalaxyS3(), 12, 4.5, workload.DefaultStreaming()),
 			scenario.MPTCP, 5, pathScalar},
 		// Mobility is statically inside the envelope (library scenario,

@@ -39,10 +39,9 @@ type Config struct {
 	// trace files are byte-identical at any Jobs setting. Use it with a
 	// single experiment so the run numbering stays meaningful.
 	Trace *trace.Collector
-	// Cache, when non-nil, memoizes scenario runs across experiments:
-	// overlapping grids (shared baselines, repeated ablation arms)
-	// simulate each distinct (scenario, protocol, seed, options) run
-	// once. Tables are byte-identical with the cache on or off.
+	// Cache is read by no code: every run simulates once per call.
+	//
+	// Deprecated: ignored.
 	Cache *scenario.RunCache
 	// NoFork is read by no code: sweep points always run as ordinary
 	// scenario runs.
@@ -98,14 +97,13 @@ func (c Config) pool() *runner.Pool { return runner.New(c.Jobs) }
 // every table regenerates bit-identically.
 //
 // Each index receives a base scenario.Opts carrying its run's trace
-// recorder (nil when tracing is off) and the configuration's run cache;
-// mk fills in the seed and any other per-run options. Batches are
-// reserved before the fan-out, on the single orchestration goroutine, so
-// run numbering is deterministic too.
+// recorder (nil when tracing is off); mk fills in the seed and any other
+// per-run options. Batches are reserved before the fan-out, on the single
+// orchestration goroutine, so run numbering is deterministic too.
 func repeatRuns[T any](cfg Config, n int, mk func(i int, opt scenario.Opts) T) []T {
 	batch := cfg.Trace.Batch(n)
 	return runner.Map(cfg.pool(), n, func(i int) T {
-		return mk(i, scenario.Opts{Recorder: batch.Recorder(i), Cache: cfg.Cache})
+		return mk(i, scenario.Opts{Recorder: batch.Recorder(i)})
 	})
 }
 
@@ -117,34 +115,22 @@ type execPath int
 
 const (
 	pathScalar   execPath = iota // independent scenario.Run per seed
-	pathCached   execPath = iota // scalar runs memoized through cfg.Cache
 	pathLockstep execPath = iota // lane-batched replication (lockstep.Run)
 )
 
 func (p execPath) String() string {
-	switch p {
-	case pathCached:
-		return "cached"
-	case pathLockstep:
+	if p == pathLockstep {
 		return "lockstep"
-	default:
-		return "scalar"
 	}
+	return "scalar"
 }
 
 // selectPath decides how a group of k same-scenario replications
 // executes. Tracing observes runs in-line and always forces the scalar
-// path; the cache composes with every path, so pathCached is reported only
-// when no batching applies.
+// path.
 func selectPath(cfg Config, sc scenario.Scenario, proto scenario.Protocol, k int) execPath {
-	opt := scenario.Opts{Cache: cfg.Cache}
-	if cfg.Trace == nil && !cfg.NoLockstep && k >= 4 && lockstep.Eligible(sc, proto, opt) {
+	if cfg.Trace == nil && !cfg.NoLockstep && k >= 4 && lockstep.Eligible(sc, proto, scenario.Opts{}) {
 		return pathLockstep
-	}
-	if cfg.Cache != nil {
-		if _, ok := scenario.CacheKey(sc, proto, opt); ok {
-			return pathCached
-		}
 	}
 	return pathScalar
 }
@@ -175,11 +161,11 @@ func replicateGrid(cfg Config, sc scenario.Scenario, protos []scenario.Protocol,
 	groups := runner.Map(cfg.pool(), len(protos), func(pi int) []scenario.Result {
 		p := protos[pi]
 		if selectPath(cfg, sc, p, runs) == pathLockstep {
-			return lockstep.Run(sc, p, seeds, scenario.Opts{Cache: cfg.Cache})
+			return lockstep.Run(sc, p, seeds, scenario.Opts{})
 		}
 		out := make([]scenario.Result, runs)
 		for s := range out {
-			out[s] = scenario.Run(sc, p, scenario.Opts{Seed: seeds[s], Cache: cfg.Cache})
+			out[s] = scenario.Run(sc, p, scenario.Opts{Seed: seeds[s]})
 		}
 		return out
 	})

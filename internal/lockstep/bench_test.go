@@ -42,7 +42,7 @@ func BenchmarkLockstepReplication(b *testing.B) {
 				var dst []scenario.Result
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dst = RunAppend(dst[:0], sc, scenario.MPTCP, seeds, scenario.Opts{})
+					dst, _ = RunAppend(dst[:0], sc, scenario.MPTCP, seeds, scenario.Opts{})
 				}
 				if testing.Verbose() && !dst[0].Completed {
 					b.Fatal("benchmark lanes did not complete")

@@ -42,9 +42,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Lane/peel counters, exposed through Stats for emptcpsim -v and the
-// campaign progress report (which assert the lockstep path actually
-// executed).
+// Process-wide lane/peel counters, exposed through Stats for
+// emptcpsim -v and GET /statz.
 var (
 	nLaneRuns atomic.Int64
 	nPeels    atomic.Int64
@@ -69,7 +68,7 @@ const bulkSize units.ByteSize = 1 << 40
 // envelope: an uncontrolled protocol (no eMPTCP/MDP/association
 // machinery), a single-connection file workload with a positive size, no
 // in-line observers, and a library scenario (a cache key exists, so the
-// link builders are the library's and per-seed results can be memoized).
+// link builders are the library's).
 // Whether each individual lane stays batched is decided at setup by
 // probing the built link processes; ineligible lanes peel to scenario.Run.
 func Eligible(sc scenario.Scenario, proto scenario.Protocol, opt scenario.Opts) bool {
@@ -106,55 +105,25 @@ func workShape(w workload.Workload) (size units.ByteSize, uplink bool, ok bool) 
 // Run executes one replication batch — len(seeds) runs of (sc, proto)
 // differing only in seed — and returns one Result per seed, each
 // bit-identical to scenario.Run(sc, proto, opt-with-that-seed). The
-// caller must have checked Eligible. With opt.Cache set, seeds are
-// memoized individually under their scalar cache keys: a fully-cached
-// batch never simulates, and a partially-cached one simulates the whole
-// batch once (recomputing k lanes costs less than fragmenting the
-// stripe).
+// caller must have checked Eligible.
 func Run(sc scenario.Scenario, proto scenario.Protocol, seeds []int64, opt scenario.Opts) []scenario.Result {
-	return RunAppend(nil, sc, proto, seeds, opt)
+	dst, _ := RunAppend(nil, sc, proto, seeds, opt)
+	return dst
 }
 
 // RunAppend is Run appending into dst (reused by the alloc-guard tests
-// and the campaign shard loop).
-func RunAppend(dst []scenario.Result, sc scenario.Scenario, proto scenario.Protocol, seeds []int64, opt scenario.Opts) []scenario.Result {
+// and the campaign shard loop). It also reports how many of the seeds
+// peeled to the scalar path; the other len(seeds)-peels ran as lanes.
+// Callers that count per campaign read these, since Stats sums over the
+// whole process.
+func RunAppend(dst []scenario.Result, sc scenario.Scenario, proto scenario.Protocol, seeds []int64, opt scenario.Opts) (out []scenario.Result, peels int) {
 	base := len(dst)
 	if cap(dst) < base+len(seeds) {
 		dst = append(dst, make([]scenario.Result, len(seeds))...)
 	} else {
 		dst = dst[:base+len(seeds)]
 	}
-	out := dst[base:]
-	if opt.Cache == nil {
-		runBatch(out, sc, proto, seeds, opt)
-		return dst
-	}
-	// Per-seed memoization over one lazily-computed batch: the batch
-	// simulates inside the first missing seed's Do, so a fully-cached
-	// batch never fires it.
-	var (
-		once  sync.Once
-		batch []scenario.Result
-	)
-	compute := func() {
-		batch = make([]scenario.Result, len(seeds))
-		runBatch(batch, sc, proto, seeds, opt)
-	}
-	for i, seed := range seeds {
-		o := opt
-		o.Seed = seed
-		k, ok := scenario.CacheKey(sc, proto, o)
-		if !ok {
-			out[i] = scenario.Run(sc, proto, o)
-			continue
-		}
-		idx := i
-		out[i] = opt.Cache.Do(k, func() scenario.Result {
-			once.Do(compute)
-			return batch[idx]
-		})
-	}
-	return dst
+	return dst, runBatch(dst[base:], sc, proto, seeds)
 }
 
 // Lane event kinds: what the per-lane slot dispatcher can fire.
@@ -254,8 +223,9 @@ func (b *batch) connIdx(lane int) int     { return b.k + lane }
 func (b *batch) subIdx(sub, lane int) int { return (2+sub)*b.k + lane }
 func (b *batch) vecIdx(sub, lane int) int { return sub*b.k + lane }
 
-// runBatch simulates all seeds, writing one Result per seed into out.
-func runBatch(out []scenario.Result, sc scenario.Scenario, proto scenario.Protocol, seeds []int64, opt scenario.Opts) {
+// runBatch simulates all seeds, writing one Result per seed into out,
+// and returns how many lanes peeled.
+func runBatch(out []scenario.Result, sc scenario.Scenario, proto scenario.Protocol, seeds []int64) (peels int) {
 	b := batchPool.Get().(*batch)
 	defer batchPool.Put(b)
 	b.prepare(sc, proto, len(seeds))
@@ -272,13 +242,15 @@ func runBatch(out []scenario.Result, sc scenario.Scenario, proto scenario.Protoc
 	for i := range b.lanes {
 		l := &b.lanes[i]
 		if l.peeled {
-			nPeels.Add(1)
+			peels++
 			out[i] = scenario.Run(sc, proto, scenario.Opts{Seed: l.seed})
 		} else {
-			nLaneRuns.Add(1)
 			out[i] = b.collect(l)
 		}
 	}
+	nPeels.Add(int64(peels))
+	nLaneRuns.Add(int64(len(seeds) - peels))
+	return peels
 }
 
 // drive runs the lockstep wave loop to quiescence: one event per live

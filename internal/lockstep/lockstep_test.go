@@ -134,7 +134,10 @@ func TestLockstepPeel(t *testing.T) {
 			t.Fatalf("%v statically ineligible; peel is a dynamic decision", proto)
 		}
 		_, peels0 := Stats()
-		got := Run(sc, proto, seeds, scenario.Opts{})
+		got, peels := RunAppend(nil, sc, proto, seeds, scenario.Opts{})
+		if peels != len(seeds) {
+			t.Fatalf("%v: RunAppend reported %d peels, want %d", proto, peels, len(seeds))
+		}
 		if _, peels1 := Stats(); peels1-peels0 != int64(len(seeds)) {
 			t.Fatalf("%v: %d peels, want %d", proto, peels1-peels0, len(seeds))
 		}
@@ -180,46 +183,6 @@ func TestLockstepEligibility(t *testing.T) {
 	for _, c := range cases {
 		if got := Eligible(c.sc, c.proto, c.opt); got != c.want {
 			t.Errorf("%s: Eligible = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestLockstepCacheComposition checks the per-seed memoization contract:
-// a second batched call over the same seeds returns identical results
-// without simulating any lane, and a partially-warm batch still yields
-// scalar-identical results for the cold seeds.
-func TestLockstepCacheComposition(t *testing.T) {
-	sc := scenario.StaticLab(s3(), 8, 6, workload.FileDownload{Size: 2 * units.MB})
-	cache := scenario.NewRunCache()
-	opt := scenario.Opts{Cache: cache}
-	seeds := []int64{10, 11, 12, 13}
-
-	first := Run(sc, scenario.MPTCP, seeds, opt)
-	lanes0, _ := Stats()
-	second := Run(sc, scenario.MPTCP, seeds, opt)
-	if lanes1, _ := Stats(); lanes1 != lanes0 {
-		t.Fatalf("fully-cached batch simulated %d lanes", lanes1-lanes0)
-	}
-	for i := range seeds {
-		a, b := first[i], second[i]
-		normNaN(&a)
-		normNaN(&b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: cached result differs from computed", seeds[i])
-		}
-	}
-
-	// Extend the seed range: the warm seeds come from cache, the cold
-	// ones from a fresh batch, all scalar-identical.
-	wider := []int64{12, 13, 14, 15}
-	got := Run(sc, scenario.MPTCP, wider, opt)
-	for i, seed := range wider {
-		want := scenario.Run(sc, scenario.MPTCP, scenario.Opts{Seed: seed})
-		g := got[i]
-		normNaN(&want)
-		normNaN(&g)
-		if !reflect.DeepEqual(want, g) {
-			t.Errorf("seed %d: widened cached batch differs from scalar", seed)
 		}
 	}
 }

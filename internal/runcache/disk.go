@@ -1,11 +1,14 @@
-// Disk backend: a persistent content-addressed store under the same
-// sha256 Keys the in-process cache uses, so campaigns dedupe and resume
-// across invocations. The format is crash-safe by construction:
-// append-only segment files of self-checking records, an in-memory index
-// rebuilt on open, and torn tails (a crash mid-append) truncated during
-// recovery. Values are opaque bytes; the caller owns the codec (the
-// campaign layer encodes scenario.Results), which keeps the store
-// generic and the on-disk format independent of Go struct layout.
+// Package runcache lets campaigns dedupe and resume runs across
+// invocations: Store persists finished results under content Keys, and
+// Flight is a non-retaining single-flight that keeps concurrent workers
+// from simulating one key twice at once.
+//
+// The store is crash-safe by construction: append-only segment files of
+// self-checking records, an in-memory index rebuilt on open, and torn
+// tails (a crash mid-append) truncated during recovery. Values are
+// opaque bytes; the caller owns the codec (the campaign layer encodes
+// scenario.Results), which keeps the store generic and the on-disk
+// format independent of Go struct layout.
 //
 // Record layout (little-endian):
 //
@@ -27,6 +30,10 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// Key is a canonical content digest of one run's inputs — in practice a
+// SHA-256 of the scenario configuration, protocol, seed, and options.
+type Key [32]byte
 
 // storeShards stripes the index so concurrent Gets from many campaign
 // workers don't serialise on one lock (keys are sha256 digests, so the
@@ -361,9 +368,9 @@ func (s *Store) Close() error {
 // same key run fn once and share its result, and the key is forgotten as
 // soon as the flight lands. It is the coordination layer between the
 // disk store (which persists results) and a campaign's workers (which
-// must not simulate the same key twice concurrently) — unlike Cache it
-// holds no values, so memory stays bounded by the number of in-flight
-// keys, not distinct ones.
+// must not simulate the same key twice concurrently). It holds no
+// values, so memory stays bounded by the number of in-flight keys, not
+// distinct ones.
 type Flight[V any] struct {
 	mu sync.Mutex
 	m  map[Key]*flightCall[V]

@@ -257,6 +257,77 @@ func TestDiskStoreCorruptLengthRecovery(t *testing.T) {
 	}
 }
 
+// FuzzStoreRecovery writes arbitrary bytes as a segment file and opens
+// the store on it. Recovery must not panic, every record it indexes
+// must read back, and a second open of the recovered directory must
+// keep the same records without truncating further.
+func FuzzStoreRecovery(f *testing.F) {
+	dir := f.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Put(testKey(i), []byte(fmt.Sprintf("v%02d", i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.Close()
+	valid, err := os.ReadFile(filepath.Join(dir, "cache-000001.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	// The corrupt-length cases of TestDiskStoreCorruptLengthRecovery.
+	recSize := recHeaderSize + 3 + 4
+	for _, n := range []uint32{0xFFFFFFFC, 0x7FFFFFF0} {
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(bad[2*recSize+36:], n)
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "cache-000001.seg")
+		if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		n := s.Len()
+		for i := range s.shards {
+			for k, loc := range s.shards[i].index {
+				if v, ok, err := s.Get(k); err != nil || !ok || len(v) != int(loc.size) {
+					t.Fatalf("indexed key %x: ok=%v err=%v len=%d want %d", k, ok, err, len(v), loc.size)
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("second recovery failed: %v", err)
+		}
+		defer s2.Close()
+		if s2.Len() != n {
+			t.Fatalf("second open: Len=%d, first open recovered %d", s2.Len(), n)
+		}
+		after, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Size() != before.Size() {
+			t.Fatalf("second open truncated the segment from %d to %d bytes", before.Size(), after.Size())
+		}
+	})
+}
+
 // TestDiskStoreCorruptValueDropped flips a bit inside a record's value;
 // the crc must reject it (and, being append-only, everything after it).
 func TestDiskStoreCorruptValueDropped(t *testing.T) {

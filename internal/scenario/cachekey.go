@@ -7,36 +7,36 @@ import (
 	"repro/internal/runcache"
 )
 
-// RunCache memoizes Results across experiments. Sharing one cache
-// between all the tables of a suite lets overlapping grids — shared
-// baselines, repeated ablation arms — simulate each distinct run once.
-type RunCache = runcache.Cache[Result]
+// RunCache is read by no code: every run simulates once per call.
+//
+// Deprecated: ignored.
+type RunCache struct{}
 
-// NewRunCache returns an empty run cache.
-func NewRunCache() *RunCache { return runcache.New[Result]() }
+// NewRunCache returns a RunCache that nothing reads.
+//
+// Deprecated: ignored.
+func NewRunCache() *RunCache { return &RunCache{} }
 
-// cacheKey digests everything a run's outcome depends on: the scenario's
-// construction (device profile contents, link signature, RTTs, horizon,
-// workload, controller overrides, app power), the protocol, and the
-// run options (seed, tracing). It reports ok=false when the run is not
-// cache-eligible: the scenario was built outside this package's library
-// (no link signature, so the link-builder funcs are opaque), or a
-// Recorder observes the run's events in-line.
+// Stats always returns (0, 0).
+//
+// Deprecated: ignored.
+func (*RunCache) Stats() (hits, misses uint64) { return 0, 0 }
+
+// CacheKey digests everything a run's outcome depends on: the
+// scenario's construction (device profile contents, link signature,
+// RTTs, horizon, workload, controller overrides, app power), the
+// protocol, and the run options (seed, tracing). It reports ok=false
+// when the run is not cache-eligible: the scenario was built outside
+// this package's library (no link signature, so the link-builder funcs
+// are opaque), or a Recorder observes the run's events in-line. The
+// campaign engine keys its disk store with it.
 //
 // Everything digested is a value: DeviceProfile, core.Config, and the
 // workload types are plain data structs, so %+v prints their full
 // contents and two scenarios digest equal iff a run cannot tell them
 // apart. The per-run RNG is rebuilt from Seed, so equal digests imply
 // bit-identical results.
-// CacheKey exposes the run-content digest to persistence layers outside
-// this package — the campaign engine keys its disk cache with it, so an
-// on-disk result is exactly as trustworthy as an in-process cached one:
-// equal digests imply bit-identical results.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
-	return cacheKey(sc, proto, opt)
-}
-
-func cacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 	if sc.linkSig == "" || opt.Recorder != nil {
 		return runcache.Key{}, false
 	}

@@ -111,8 +111,8 @@ type Scenario struct {
 	// linkSig is a canonical description of how WiFi and LTE were
 	// constructed, set only by this package's library constructors. The
 	// link builders are funcs and cannot be digested; the signature
-	// stands in for them in the run-cache key. Custom scenarios built
-	// outside the library leave it empty and are never cached.
+	// stands in for them in the run key (CacheKey). Custom scenarios
+	// built outside the library leave it empty and are never cached.
 	linkSig string
 }
 
@@ -129,14 +129,6 @@ type Opts struct {
 	// implementing trace.Sampler additionally get periodic Sample calls
 	// on their own grid. One recorder must serve exactly one run.
 	Recorder trace.Recorder
-	// Cache, when non-nil, memoizes results across runs: a repeated
-	// (scenario, protocol, seed, options) combination returns the cached
-	// Result instead of re-simulating. Only library scenarios are
-	// eligible (see Scenario.linkSig); runs with a Recorder always
-	// execute, since the recorder observes events in-line. Cached
-	// results are shared — callers must treat trace pointers as
-	// read-only, which every consumer in this repository does.
-	Cache *RunCache
 }
 
 // Result is what one run measures.
@@ -236,19 +228,8 @@ func ForkStats() (trees, runs int64) { return 0, 0 }
 // Run executes one scenario under one protocol and returns its Result.
 // Run state (engine, accountant, subflow arena, scratch buffers) is drawn
 // from a process-wide pool and reused between runs; a pooled run is
-// bit-identical to a fresh-state one. With Opts.Cache set, cache-eligible
-// runs (see Opts.Cache) are memoized under a content digest of their
-// inputs and simulate at most once per cache.
+// bit-identical to a fresh-state one.
 func Run(sc Scenario, proto Protocol, opt Opts) Result {
-	if opt.Cache != nil {
-		if k, ok := cacheKey(sc, proto, opt); ok {
-			return opt.Cache.Do(k, func() Result { return runPooled(sc, proto, opt) })
-		}
-	}
-	return runPooled(sc, proto, opt)
-}
-
-func runPooled(sc Scenario, proto Protocol, opt Opts) Result {
 	st := statePool.Get().(*RunState)
 	// Deferred so a panicking run still returns its state to the pool:
 	// reset rebuilds every piece from scratch, so a state abandoned
