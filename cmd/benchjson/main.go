@@ -11,7 +11,9 @@
 // With -baseline FILE, benchjson instead compares stdin against a
 // previously recorded BENCH.json: it prints a per-benchmark delta table
 // (ns/op and allocs/op) and exits non-zero when any benchmark's ns/op
-// regressed by more than 20%. Custom metrics are recorded, never gated —
+// regressed by more than 20%, or when a benchmark whose baseline is
+// allocation-free now allocates (allocs/op is deterministic, so that
+// gate is strict). Custom metrics are recorded, never gated —
 // they are model observables (completion times, packet counts), not
 // performance. Benchmarks present on only one side are
 // listed but never fail the comparison:
@@ -139,7 +141,8 @@ const regressionLimit = 0.20
 
 // compare renders a delta table of results against the baseline file and
 // reports failure when any shared benchmark's ns/op regressed beyond the
-// limit. New and vanished benchmarks are informational only.
+// limit or a 0-alloc baseline benchmark now allocates. New and vanished
+// benchmarks are informational only.
 func compare(path string, results map[string]Result, stdout, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -170,7 +173,7 @@ func compare(path string, results map[string]Result, stdout, stderr io.Writer) i
 		}
 	}
 	fmt.Fprintf(stdout, "%-*s  %12s  %12s  %8s  %s\n", w, "benchmark", "base ns/op", "new ns/op", "Δns/op", "allocs")
-	failed := false
+	slow, allocs := false, false
 	logSum, shared, added, vanished := 0.0, 0, 0, 0
 	for _, n := range names {
 		b, inBase := base[n]
@@ -187,7 +190,11 @@ func compare(path string, results map[string]Result, stdout, stderr io.Writer) i
 			mark := ""
 			if delta > regressionLimit {
 				mark = "  REGRESSED"
-				failed = true
+				slow = true
+			}
+			if b.AllocsPerOp == 0 && r.AllocsPerOp > 0 {
+				mark += "  ALLOCATES"
+				allocs = true
 			}
 			fmt.Fprintf(stdout, "%-*s  %12.1f  %12.1f  %+7.1f%%  %d -> %d%s\n",
 				w, n, b.NsPerOp, r.NsPerOp, delta*100, b.AllocsPerOp, r.AllocsPerOp, mark)
@@ -212,8 +219,13 @@ func compare(path string, results map[string]Result, stdout, stderr io.Writer) i
 		foot += fmt.Sprintf("; %d vanished", vanished)
 	}
 	fmt.Fprintf(stdout, "%-*s  %s\n", w, "", foot)
-	if failed {
+	if slow {
 		fmt.Fprintf(stderr, "benchjson: ns/op regression beyond %.0f%% against %s\n", regressionLimit*100, path)
+	}
+	if allocs {
+		fmt.Fprintf(stderr, "benchjson: a 0-alloc benchmark in %s now allocates\n", path)
+	}
+	if slow || allocs {
 		return 1
 	}
 	return 0

@@ -134,6 +134,45 @@ func TestCompareFailsOnRegression(t *testing.T) {
 	}
 }
 
+// TestCompareFailsWhenZeroAllocBenchmarkAllocates pins the strict
+// deterministic gate: a benchmark recorded at 0 allocs/op fails the
+// comparison once it allocates, even with ns/op well inside the limit.
+func TestCompareFailsWhenZeroAllocBenchmarkAllocates(t *testing.T) {
+	base := writeBaseline(t, `{
+  "BenchmarkSimKernel": {"ns_per_op": 42, "bytes_per_op": 0, "allocs_per_op": 0}
+}`)
+	in := "BenchmarkSimKernel-8   	27412988	        42.84 ns/op	      16 B/op	       1 allocs/op\n"
+	var out, errb strings.Builder
+	if code := run([]string{"-baseline", base}, strings.NewReader(in), &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "0 -> 1  ALLOCATES") || strings.Contains(out.String(), "REGRESSED") {
+		t.Errorf("want an ALLOCATES mark and no REGRESSED mark:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "now allocates") {
+		t.Errorf("missing diagnostic: %s", errb.String())
+	}
+}
+
+// TestCompareAllowsAllocChangesOffZero: only the 0 → >0 transition is
+// gated; a benchmark that already allocated may allocate more or less,
+// and one that stays at 0 passes.
+func TestCompareAllowsAllocChangesOffZero(t *testing.T) {
+	base := writeBaseline(t, `{
+  "BenchmarkSimKernel": {"ns_per_op": 42, "bytes_per_op": 0, "allocs_per_op": 0},
+  "BenchmarkHeapChurn": {"ns_per_op": 64, "bytes_per_op": 0, "allocs_per_op": 3}
+}`)
+	in := "BenchmarkSimKernel-8   	27412988	        42.84 ns/op	       0 B/op	       0 allocs/op\n" +
+		"BenchmarkHeapChurn-8   	18321776	        64.73 ns/op	     512 B/op	       9 allocs/op\n"
+	var out, errb strings.Builder
+	if code := run([]string{"-baseline", base}, strings.NewReader(in), &out, &errb); code != 0 {
+		t.Fatalf("exit %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if strings.Contains(out.String(), "ALLOCATES") || !strings.Contains(out.String(), "3 -> 9") {
+		t.Errorf("unexpected gate marks:\n%s", out.String())
+	}
+}
+
 func TestCompareMissingBaselineFile(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-baseline", filepath.Join(t.TempDir(), "nope.json")},

@@ -53,11 +53,36 @@ func TestSpecValidateDefaultsAndErrors(t *testing.T) {
 		{SizesMB: []float64{-1}, Seeds: SeedRange{Count: 1}},
 		{Replicate: -3, Seeds: SeedRange{Count: 1}},
 		{ShardSize: -1, Seeds: SeedRange{Count: 1}},
+		// 36 cells × 2^59 seeds wraps uint64 (to 2^61).
+		{Seeds: SeedRange{Count: 1 << 59}},
+		// Overflows without wrapping: 2 × 2 × 1 × 3 × 3 × 2^60 > MaxInt64.
+		{Seeds: SeedRange{Count: 1 << 60}},
+		{Replicate: 1 << 62, Seeds: SeedRange{Count: 1}},
+		// The last seed, base + count − 1, overflows int64.
+		{Seeds: SeedRange{Base: math.MaxInt64, Count: 2}},
+		{Seeds: SeedRange{Base: math.MaxInt64 - 5, Count: 7}},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("bad spec %d validated: %+v", i, b)
 		}
+		if _, err := compile(b); err == nil {
+			t.Errorf("bad spec %d compiled: %+v", i, b)
+		}
+	}
+
+	// The edges that still fit are accepted.
+	edge := Spec{Seeds: SeedRange{Base: math.MaxInt64 - 6, Count: 7}}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("last seed = MaxInt64 rejected: %v", err)
+	}
+	big := Spec{WiFi: []string{"good"}, LTE: []string{"good"}, Locations: []string{"wdc"},
+		Protocols: []string{"mptcp"}, Seeds: SeedRange{Count: math.MaxInt64}}
+	if err := big.Validate(); err != nil {
+		t.Errorf("MaxInt64 runs rejected: %v", err)
+	}
+	if got := big.TotalRuns(); got != math.MaxInt64 {
+		t.Errorf("TotalRuns = %d, want MaxInt64", got)
 	}
 }
 
@@ -207,6 +232,18 @@ func TestCodecRoundtrip(t *testing.T) {
 	b[0] = 99
 	if _, err := decodeResult(b); err == nil {
 		t.Error("version-skewed record decoded")
+	}
+
+	// Non-canonical booleans would not re-encode to the same bytes.
+	b = encodeResult(r)
+	b[2+8] = 2 // completed
+	if _, err := decodeResult(b); err == nil {
+		t.Error("record with completed = 2 decoded")
+	}
+	b = encodeResult(r)
+	b[len(b)-1] = 7 // lteUsed
+	if _, err := decodeResult(b); err == nil {
+		t.Error("record with lteUsed = 7 decoded")
 	}
 }
 

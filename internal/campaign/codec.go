@@ -20,6 +20,8 @@ import (
 // The version byte guards the layout and the interface count guards
 // the ByIface array: a record written by an older binary with either
 // mismatched is treated as a cache miss (re-simulate), never as data.
+// So is a boolean field holding anything but 0 or 1, which no encoder
+// writes: every accepted record re-encodes to its own bytes.
 
 const (
 	codecVersion = 1
@@ -77,7 +79,8 @@ func decodeResult(b []byte) (scenario.Result, error) {
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
 	r.Protocol = scenario.Protocol(u64())
-	r.Completed = u64() != 0
+	completed := u64()
+	r.Completed = completed != 0
 	r.CompletionTime = f64()
 	r.Elapsed = f64()
 	r.Energy = units.Energy(f64())
@@ -91,5 +94,8 @@ func decodeResult(b []byte) (scenario.Result, error) {
 	r.BatteryPct = f64()
 	r.Switches = int(u64())
 	r.LTEUsed = b[0] != 0
+	if completed > 1 || b[0] > 1 {
+		return scenario.Result{}, fmt.Errorf("campaign: result record has a non-boolean flag (%d, %d)", completed, b[0])
+	}
 	return r, nil
 }

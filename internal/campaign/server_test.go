@@ -89,7 +89,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Bad submissions are 400 with a JSON error.
-	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{"seeds":{"count":0}}`, `{"protocols":["quic"],"seeds":{"count":1}}`} {
+	for _, body := range []string{"{not json", `{"unknown_field": 1}`, `{"seeds":{"count":0}}`, `{"protocols":["quic"],"seeds":{"count":1}}`,
+		`{"seeds":{"count":576460752303423488}}`} { // 36 cells × 2^59 seeds overflows
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -24,6 +24,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 
 	"repro/internal/energy"
@@ -127,6 +129,9 @@ func (s *Spec) Validate() error {
 	if s.Seeds.Count < 1 {
 		return fmt.Errorf("campaign: seeds.count must be ≥ 1 (got %d)", s.Seeds.Count)
 	}
+	if s.Seeds.Base > math.MaxInt64-int64(s.Seeds.Count-1) {
+		return fmt.Errorf("campaign: seeds %d + %d − 1 overflows int64", s.Seeds.Base, s.Seeds.Count)
+	}
 	if s.Replicate == 0 {
 		s.Replicate = 1
 	}
@@ -139,7 +144,27 @@ func (s *Spec) Validate() error {
 	if s.ShardSize < 1 {
 		return fmt.Errorf("campaign: shard_size must be ≥ 1 (got %d)", s.ShardSize)
 	}
+	if _, ok := s.runs(); !ok {
+		return fmt.Errorf("campaign: grid of %d replicas × %d wifi × %d lte × %d sizes × %d protocols × %d locations × %d seeds exceeds %d runs",
+			s.Replicate, len(s.WiFi), len(s.LTE), len(s.SizesMB), len(s.Protocols), len(s.Locations), s.Seeds.Count, math.MaxInt64)
+	}
 	return nil
+}
+
+// runs multiplies the grid dimensions of a normalised spec. It reports
+// false when the product exceeds math.MaxInt64, which leaves the shard
+// arithmetic on the total (rounding up by a shard size) room to spare.
+func (s *Spec) runs() (uint64, bool) {
+	n := uint64(1)
+	for _, d := range [...]int{s.Replicate, len(s.WiFi), len(s.LTE), len(s.SizesMB),
+		len(s.Protocols), len(s.Locations), s.Seeds.Count} {
+		hi, lo := bits.Mul64(n, uint64(d))
+		if hi != 0 || lo > math.MaxInt64 {
+			return 0, false
+		}
+		n = lo
+	}
+	return n, true
 }
 
 // TotalRuns is the campaign's grid size including replication,
@@ -149,9 +174,8 @@ func (s *Spec) TotalRuns() uint64 {
 	if err := n.Validate(); err != nil {
 		return 0
 	}
-	return uint64(n.Replicate) * uint64(len(n.WiFi)) * uint64(len(n.LTE)) *
-		uint64(len(n.SizesMB)) * uint64(len(n.Protocols)) *
-		uint64(len(n.Locations)) * uint64(n.Seeds.Count)
+	total, _ := n.runs()
+	return total
 }
 
 // Digest is the campaign's content identity: a sha256 over the

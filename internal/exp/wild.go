@@ -141,8 +141,8 @@ func runFig14(cfg Config) *Output {
 func drawnRates(sc scenario.Scenario, seed int64) (wifi, lte units.BitRate) {
 	eng := sim.New()
 	src := simrng.New(seed)
-	w := sc.WiFi(eng, src.Split(0xaa))
-	l := sc.LTE(eng, src.Split(0xbb))
+	w := sc.WiFi(eng, src.Split(scenario.SplitWiFi))
+	l := sc.LTE(eng, src.Split(scenario.SplitLTE))
 	return w.Rate(), l.Rate()
 }
 

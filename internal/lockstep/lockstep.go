@@ -12,9 +12,10 @@
 // exactly the order the scalar engine's After calls would draw it — and
 // the executor advances all live lanes in waves over lane-striped state:
 // a simrng.LaneSources bank for the RNG streams and a tcp.LaneVec for the
-// congestion variables. Every arithmetic expression, RNG draw, and
-// callback ordering is the scalar code path's, so per-seed Results are
-// bit-identical to sequential scenario.Run calls
+// congestion variables. Lanes call the same internal/cc congestion
+// arithmetic and the same scenario.Meter metering and Result assembly as
+// the scalar path, and replay its RNG draws and callback ordering, so
+// per-seed Results are bit-identical to sequential scenario.Run calls
 // (FuzzLockstepEquivalence).
 //
 // Lane-divergence handling is peel-by-replay: a lane whose setup leaves
@@ -32,8 +33,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/link"
+	"repro/internal/mptcp"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simrng"
@@ -54,15 +57,6 @@ var (
 func Stats() (lanes, peels int64) {
 	return nLaneRuns.Load(), nPeels.Load()
 }
-
-// meterInterval mirrors scenario's power-monitor sampling period.
-const meterInterval = 0.1
-
-// defaultHorizon mirrors scenario's bound on never-completing workloads.
-const defaultHorizon = 14400
-
-// bulkSize mirrors workload.Bulk's effectively-infinite transfer.
-const bulkSize units.ByteSize = 1 << 40
 
 // Eligible reports whether (sc, proto, opt) is inside the lockstep
 // envelope: an uncontrolled protocol (no eMPTCP/MDP/association
@@ -97,7 +91,7 @@ func workShape(w workload.Workload) (size units.ByteSize, uplink bool, ok bool) 
 	case workload.FileUpload:
 		return w.Size, true, w.Size > 0
 	case workload.Bulk:
-		return bulkSize, false, true
+		return workload.BulkSize, false, true
 	}
 	return 0, false, false
 }
@@ -180,13 +174,8 @@ type lane struct {
 	complete  float64
 	stopped   bool
 
-	deliveredIf [energy.NumInterfaces]units.ByteSize
-	meterLast   [energy.NumInterfaces]units.ByteSize
-	uplinkedIf  [energy.NumInterfaces]units.ByteSize
-	meterLastUp [energy.NumInterfaces]units.ByteSize
-	lteTouched  bool
-
-	acct *energy.Accountant
+	meter scenario.Meter
+	acct  *energy.Accountant
 }
 
 // batch is the pooled executor state for one Run call.
@@ -203,7 +192,6 @@ type batch struct {
 	cfg     tcp.Config
 	iface   [2]energy.Interface
 	baseRTT [2]float64
-	weakNom units.BitRate
 
 	rng   *simrng.LaneSources
 	vec   tcp.LaneVec
@@ -245,7 +233,7 @@ func runBatch(out []scenario.Result, sc scenario.Scenario, proto scenario.Protoc
 			peels++
 			out[i] = scenario.Run(sc, proto, scenario.Opts{Seed: l.seed})
 		} else {
-			out[i] = b.collect(l)
+			out[i] = b.result(l)
 		}
 	}
 	nPeels.Add(int64(peels))
@@ -308,9 +296,8 @@ func (b *batch) prepare(sc scenario.Scenario, proto scenario.Protocol, k int) {
 	}
 	b.horizon = sc.Horizon
 	if b.horizon <= 0 {
-		b.horizon = defaultHorizon
+		b.horizon = scenario.DefaultHorizon
 	}
-	b.weakNom = sc.Device.Radios[energy.WiFi].WeakSignalNominal
 
 	if b.rng == nil {
 		b.rng = simrng.NewLaneSources(4 * k)
@@ -327,8 +314,7 @@ func (b *batch) prepare(sc scenario.Scenario, proto scenario.Protocol, k int) {
 		b.probeEng = sim.New()
 	}
 	for i := range b.lanes {
-		acct := b.lanes[i].acct
-		b.lanes[i] = lane{acct: acct}
+		b.lanes[i] = lane{acct: b.lanes[i].acct}
 	}
 }
 
@@ -356,8 +342,8 @@ func (b *batch) setupLane(l *lane, lane int, seed int64) bool {
 // scalar-only). On success the lane's capacity shares are recorded.
 func (b *batch) probeLane(l *lane, lane int) bool {
 	root := b.rootIdx(lane)
-	wifiSeed := b.rng.SplitSeed(root, 0xaa)
-	lteSeed := b.rng.SplitSeed(root, 0xbb)
+	wifiSeed := b.rng.SplitSeed(root, scenario.SplitWiFi)
+	lteSeed := b.rng.SplitSeed(root, scenario.SplitLTE)
 	b.probeEng.Reset()
 	b.probeArena.Reset()
 	wifiProc := b.sc.WiFi(b.probeEng, b.probeArena.New(wifiSeed))
@@ -400,18 +386,19 @@ func (b *batch) armLane(l *lane, lane int) {
 	l.acct.SetExtraBase(b.sc.AppPower)
 	l.acct.SetSessionActive(true)
 
-	// eng.Tick(meterInterval, flushMeter): first arm at t=0.
-	l.tickAt = meterInterval
+	// eng.Tick(MeterInterval, flushMeter): first arm at t=0.
+	l.tickAt = scenario.MeterInterval
 	l.tickSeq = l.seq
 	l.seq++
 
-	// Work.Launch(eng, src.Split(0xcc), ...): the split draw happens at
-	// argument evaluation; the file workloads never draw from the child.
-	_ = b.rng.SplitSeed(root, 0xcc)
+	// Work.Launch(eng, src.Split(SplitWork), ...): the split draw happens
+	// at argument evaluation; the file workloads never draw from the child.
+	_ = b.rng.SplitSeed(root, scenario.SplitWork)
 
-	// openConn: conn := mptcp.New(eng, src.Split(0xd0), opts).
+	// openConn: the run's first connection, mptcp.New(eng,
+	// src.Split(SplitConn), opts).
 	conn := b.connIdx(lane)
-	b.rng.Seed(conn, b.rng.SplitSeed(root, 0xd0))
+	b.rng.Seed(conn, b.rng.SplitSeed(root, scenario.SplitConn))
 
 	// Protocol wiring. radioControl.Activate's flushMeter is a no-op at
 	// t=0 (dt == 0); the radio Activate calls are replicated verbatim so
@@ -419,17 +406,17 @@ func (b *batch) armLane(l *lane, lane int) {
 	switch b.proto {
 	case scenario.TCPWiFi:
 		l.acct.Radio(energy.WiFi).Activate(0)
-		b.connectSub(l, lane, 0, 0x5f, 0)
+		b.connectSub(l, lane, 0, 0)
 	case scenario.TCPLTE:
-		l.lteTouched = true
+		l.meter.LTETouched = true
 		readyAt := l.acct.Radio(energy.LTE).Activate(0)
-		b.connectSub(l, lane, 0, 0x5f, math.Max(0, readyAt))
+		b.connectSub(l, lane, 0, math.Max(0, readyAt))
 	default: // MPTCP
 		l.acct.Radio(energy.WiFi).Activate(0)
-		b.connectSub(l, lane, 0, 0x5f, 0)
-		l.lteTouched = true
+		b.connectSub(l, lane, 0, 0)
+		l.meter.LTETouched = true
 		readyAt := l.acct.Radio(energy.LTE).Activate(0)
-		b.connectSub(l, lane, 1, 0x60, math.Max(0, readyAt))
+		b.connectSub(l, lane, 1, math.Max(0, readyAt))
 	}
 
 	// conn.Download(size, done) → Enqueue: queue the one request.
@@ -440,9 +427,9 @@ func (b *batch) armLane(l *lane, lane int) {
 // connectSub replicates AddSubflow + Connect for subflow sub: derive the
 // subflow stream from the connection stream, draw the handshake RTT, and
 // arm the establishment timer.
-func (b *batch) connectSub(l *lane, lane, sub int, label uint64, extraDelay float64) {
+func (b *batch) connectSub(l *lane, lane, sub int, extraDelay float64) {
 	si := b.subIdx(sub, lane)
-	b.rng.Seed(si, b.rng.SplitSeed(b.connIdx(lane), label))
+	b.rng.Seed(si, b.rng.SplitSeed(b.connIdx(lane), mptcp.SplitSubflow+uint64(sub)))
 	i := b.vecIdx(sub, lane)
 	b.vec.State[i] = tcp.Connecting
 	hs := b.rng.Jitter(si, b.baseRTT[sub], b.cfg.RTTJitter)
@@ -489,11 +476,11 @@ func (b *batch) stepLane(l *lane, lane int) {
 	l.now = bestAt
 	switch which {
 	case dTick:
-		b.flushMeter(l)
+		l.meter.Flush(l.acct, b.sc.Device, l.now, l.wifiRate) // run.flushMeter
 		// Ticker re-arm: fn first, then the next After draws a sequence.
 		l.tickSeq = l.seq
 		l.seq++
-		l.tickAt += meterInterval
+		l.tickAt += scenario.MeterInterval
 	case dKick:
 		sub := l.kicks[kickIdx].sub
 		copy(l.kicks[kickIdx:l.nKicks-1], l.kicks[kickIdx+1:l.nKicks])
@@ -511,34 +498,44 @@ func (b *batch) stepLane(l *lane, lane int) {
 
 // fireSub fires subflow s's pending timer: establishment or round end.
 func (b *batch) fireSub(l *lane, lane, s int) {
+	v := &b.vec
 	i := b.vecIdx(s, lane)
-	if b.vec.State[i] == tcp.Connecting {
+	if v.State[i] == tcp.Connecting {
 		// established(): state transition then Kick.
-		b.vec.Establish(i, l.now, &b.cfg)
+		v.State[i] = tcp.Established
+		v.Srtt[i] = v.HsRTT[i]
+		v.Cwnd[i] = b.cfg.InitialWindow
+		v.Ssthresh[i] = b.cfg.MaxWindow
+		v.LastSendAt[i] = l.now
 		b.laneKick(l, lane, s)
 		return
 	}
 	// finishRound: close the round, update the window, deliver, and (via
 	// laneStartRound) open the next round.
 	dur, lost := l.roundDur[s], l.roundLost[s]
-	n := b.vec.RoundSRTT(i, l.now, dur)
-	inc := 0.0
-	if !lost && b.vec.Cwnd[i] >= b.vec.Ssthresh[i] {
+	n := v.Inflight[i]
+	v.Inflight[i] = 0
+	v.InRound[i] = false
+	v.LastSendAt[i] = l.now
+	v.Srtt[i] = cc.SRTT(v.Srtt[i], dur)
+	var inc float64
+	if cc.Avoiding(v.Cwnd[i], v.Ssthresh[i], lost) {
+		// IncreasePerRTT: LIA over the lane's established subflows (lanes
+		// never suspend), or Reno's 1 from an empty accumulator.
+		var lia cc.Linked
 		if b.coupled {
-			inc = b.vec.LIAIncrease(i, lane, b.nSub)
-		} else {
-			inc = 1
+			for sub := 0; sub < b.nSub; sub++ {
+				if j := b.vecIdx(sub, lane); v.State[j] == tcp.Established {
+					lia.Add(v.Cwnd[j], v.Srtt[j])
+				}
+			}
 		}
+		inc = lia.PerRound(v.Cwnd[i])
 	}
-	b.vec.ApplyWindow(i, lost, inc, &b.cfg)
+	v.Cwnd[i], v.Ssthresh[i] = cc.Window(v.Cwnd[i], v.Ssthresh[i], lost, inc, b.cfg.MaxWindow)
 	// Delivered: meter the bytes and fire the request completion.
 	l.delivered += n
-	ifc := b.iface[s]
-	if b.uplink {
-		l.uplinkedIf[ifc] += n
-	} else {
-		l.deliveredIf[ifc] += n
-	}
+	l.meter.Count(b.iface[s], n, b.uplink)
 	if !l.stopped && l.delivered >= l.queued-1e-6 {
 		// done(at): complete and stop. The scalar path still runs the
 		// trailing startRound, but with the engine stopped none of its
@@ -553,27 +550,32 @@ func (b *batch) fireSub(l *lane, lane, s int) {
 
 // laneKick replicates Subflow.Kick.
 func (b *batch) laneKick(l *lane, lane, s int) {
+	v := &b.vec
 	i := b.vecIdx(s, lane)
-	if b.vec.State[i] != tcp.Established || b.vec.InRound[i] {
+	if v.State[i] != tcp.Established || v.InRound[i] {
 		return
 	}
-	b.vec.IdleReset(i, l.now, &b.cfg)
+	if !b.cfg.DisableIdleCwndReset && v.EverSent[i] {
+		v.Cwnd[i], v.Ssthresh[i] = cc.IdleReset(v.Cwnd[i], v.Ssthresh[i], l.now-v.LastSendAt[i],
+			cc.RTO(b.cfg.MinRTO, v.Srtt[i]), b.cfg.InitialWindow, b.cfg.MaxWindow)
+	}
 	b.laneStartRound(l, lane, s)
 }
 
 // laneStartRound replicates Subflow.startRound inside the envelope
 // (share > 0, loss probability exactly 0).
 func (b *batch) laneStartRound(l *lane, lane, s int) {
+	v := &b.vec
 	i := b.vecIdx(s, lane)
-	want := b.vec.Want(i, &b.cfg)
-	n := b.laneRequest(l, lane, s, want)
+	n := b.laneRequest(l, lane, s, units.ByteSize(v.Cwnd[i])*b.cfg.MSS)
 	if n <= 0 {
 		return
 	}
-	b.vec.BeginRound(i, n)
-	share := l.rate[s]
+	v.InRound[i] = true
+	v.EverSent[i] = true
+	v.Inflight[i] = n
 	rtt := b.rng.Jitter(b.subIdx(s, lane), b.baseRTT[s], b.cfg.RTTJitter)
-	congested, dur := b.vec.RoundPlan(n, rtt, share)
+	congested, dur := cc.Plan(n.Bits(), rtt, float64(l.rate[s]))
 	l.roundLost[s] = congested
 	l.roundDur[s] = dur
 	l.subEv[s] = evRound
@@ -635,65 +637,9 @@ func (b *batch) preferredSub(l *lane, lane int) int {
 	return best
 }
 
-// flushMeter replicates run.flushMeter: advance the lane's accountant to
-// now with the throughput observed since the last flush.
-func (b *batch) flushMeter(l *lane) {
-	now := l.now
-	dt := now - l.acct.Now()
-	if dt <= 0 {
-		return
-	}
-	var thr energy.Throughputs
-	for i := 0; i < energy.NumInterfaces; i++ {
-		deltaDown := l.deliveredIf[i] - l.meterLast[i]
-		l.meterLast[i] = l.deliveredIf[i]
-		deltaUp := l.uplinkedIf[i] - l.meterLastUp[i]
-		l.meterLastUp[i] = l.uplinkedIf[i]
-		if deltaDown <= 0 && deltaUp <= 0 {
-			continue
-		}
-		if deltaDown > 0 {
-			thr.Down[i] = units.BitRate(deltaDown.Bits() / dt)
-		}
-		if deltaUp > 0 {
-			thr.Up[i] = units.BitRate(deltaUp.Bits() / dt)
-		}
-		if l.acct.Radio(energy.Interface(i)).State() == energy.Idle {
-			l.acct.Radio(energy.Interface(i)).Activate(l.acct.Now())
-		}
-	}
-	if b.weakNom > 0 {
-		l.acct.Radio(energy.WiFi).SetQuality(float64(l.wifiRate) / float64(b.weakNom))
-	}
-	l.acct.Advance(now, thr)
-}
-
-// collect replicates run.collect for one lane.
-func (b *batch) collect(l *lane) scenario.Result {
-	b.flushMeter(l)
-	completed := !math.IsNaN(l.complete)
-	if completed {
-		l.acct.Drain()
-	}
-	res := scenario.Result{
-		Protocol:       b.proto,
-		Completed:      completed,
-		CompletionTime: l.complete,
-		Elapsed:        l.now,
-		Energy:         l.acct.Total(),
-		BaseEnergy:     l.acct.BaseEnergy(),
-		LTEUsed:        l.lteTouched || l.acct.InterfaceEnergy(energy.LTE) > 0,
-	}
-	for i := 0; i < energy.NumInterfaces; i++ {
-		res.ByIface[i] = l.acct.InterfaceEnergy(energy.Interface(i))
-		res.Downloaded += l.deliveredIf[i]
-		res.Uploaded += l.uplinkedIf[i]
-	}
-	if moved := res.Downloaded + res.Uploaded; moved > 0 {
-		res.JPerByte = res.Energy.PerByte(moved)
-	} else {
-		res.JPerByte = math.Inf(1)
-	}
-	res.BatteryPct = b.sc.Device.BatteryFraction(res.Energy) * 100
-	return res
+// result finishes one lane as run.collect does: a final meter flush,
+// then the metered Result (lanes record no traces and run no controller).
+func (b *batch) result(l *lane) scenario.Result {
+	l.meter.Flush(l.acct, b.sc.Device, l.now, l.wifiRate)
+	return l.meter.Result(l.acct, b.sc.Device, b.proto, l.complete, l.now)
 }

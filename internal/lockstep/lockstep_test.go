@@ -221,7 +221,7 @@ func TestLockstepSteadyStateAllocs(t *testing.T) {
 		}
 		b.drive()
 		for i := range b.lanes {
-			res[i] = b.collect(&b.lanes[i])
+			res[i] = b.result(&b.lanes[i])
 		}
 	})
 	if allocs != 0 {

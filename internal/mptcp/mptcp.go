@@ -14,6 +14,7 @@ package mptcp
 import (
 	"fmt"
 
+	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/simrng"
@@ -22,21 +23,15 @@ import (
 	"repro/internal/units"
 )
 
-// Coupling selects the congestion-avoidance coupling across subflows.
-type Coupling int
-
-// Coupling modes.
-const (
-	// Uncoupled runs independent Reno on each subflow.
-	Uncoupled Coupling = iota
-	// LIA is the Linked-Increases Algorithm of RFC 6356, the default
-	// coupled congestion control in the Linux MPTCP stack the paper uses.
-	LIA
-)
+// SplitSubflow labels the RNG stream of a connection's first subflow,
+// split from the connection's source; the i-th subflow (from 0) uses
+// SplitSubflow+i.
+const SplitSubflow uint64 = 0x5f
 
 // Options configure a connection.
 type Options struct {
-	Coupling Coupling
+	// Coupling selects uncoupled Reno or LIA across the subflows.
+	Coupling cc.Coupling
 	// SubflowConfig is the TCP configuration applied to subflows that do
 	// not override it.
 	SubflowConfig tcp.Config
@@ -54,7 +49,7 @@ type Options struct {
 
 // DefaultOptions returns the standard-MPTCP configuration.
 func DefaultOptions() Options {
-	return Options{Coupling: LIA, SubflowConfig: tcp.DefaultConfig()}
+	return Options{Coupling: cc.LIA, SubflowConfig: tcp.DefaultConfig()}
 }
 
 // subflowMeta is stored in tcp.Subflow.Meta.
@@ -78,7 +73,6 @@ type Connection struct {
 	opts Options
 
 	subflows []*tcp.Subflow
-	lia      []liaCache // per-subflow memoized LIA quotients, parallel to subflows
 
 	queued    units.ByteSize // cumulative bytes enqueued
 	taken     units.ByteSize // cumulative bytes handed to subflows (minus returns)
@@ -107,10 +101,11 @@ func (c *Connection) AddSubflow(id string, iface energy.Interface, path *tcp.Pat
 		conf = *cfg
 	}
 	var sf *tcp.Subflow
+	src := c.src.Split(SplitSubflow + uint64(len(c.subflows)))
 	if c.opts.Arena != nil {
-		sf = c.opts.Arena.NewSubflow(id, c.eng, c.src.Split(uint64(len(c.subflows))+0x5f), path, conf, (*connSource)(c))
+		sf = c.opts.Arena.NewSubflow(id, c.eng, src, path, conf, (*connSource)(c))
 	} else {
-		sf = tcp.NewSubflow(id, c.eng, c.src.Split(uint64(len(c.subflows))+0x5f), path, conf, (*connSource)(c))
+		sf = tcp.NewSubflow(id, c.eng, src, path, conf, (*connSource)(c))
 	}
 	sf.Meta = subflowMeta{iface: iface}
 	// A join changes the LIA coupling set and the scheduler's choices:
@@ -119,7 +114,6 @@ func (c *Connection) AddSubflow(id string, iface energy.Interface, path *tcp.Pat
 		other.InvalidateBatch()
 	}
 	c.subflows = append(c.subflows, sf)
-	c.lia = append(c.lia, liaCache{})
 	if rec := c.eng.Recorder(); rec != nil {
 		rec.Record(trace.Event{
 			T: c.eng.Now(), Kind: trace.KindSubflow,
@@ -330,52 +324,20 @@ func (cs *connSource) Returned(sf *tcp.Subflow, n units.ByteSize) {
 	}
 }
 
-// liaCache memoizes one subflow's LIA quotients. Division dominates the
-// increase computation, and between a subflow's own rounds the sibling
-// windows are frozen (round batching makes long frozen stretches the
-// common case), so the quotients are recomputed only when the operands
-// change. Identical operand bits give identical quotient bits, so the
-// cache cannot perturb results.
-type liaCache struct {
-	w, r    float64
-	wOverR  float64 // w / r
-	wOverR2 float64 // w / (r * r)
-}
-
-// IncreasePerRTT implements the coupled congestion-avoidance increase.
+// IncreasePerRTT implements the coupled congestion-avoidance increase:
+// RFC 6356 LIA over the established, unsuspended subflows, or Reno's 1
+// when uncoupled (an empty cc.Linked).
 func (cs *connSource) IncreasePerRTT(sf *tcp.Subflow) float64 {
 	c := cs.conn()
-	if c.opts.Coupling == Uncoupled {
-		return 1
-	}
-	// RFC 6356 LIA: the per-ACK increase is min(alpha/cwnd_total,
-	// 1/cwnd_i); over one round of cwnd_i ACKs that is
-	// min(alpha·cwnd_i/cwnd_total, 1), with
-	// alpha = cwnd_total · max_i(cwnd_i/rtt_i²) / (Σ_i cwnd_i/rtt_i)².
-	var total, sum, best float64
-	for i, s := range c.subflows {
-		if s.State() != tcp.Established || s.Suspended() || s.SRTT() <= 0 {
-			continue
-		}
-		w, r := s.Cwnd(), s.SRTT()
-		e := &c.lia[i]
-		if e.w != w || e.r != r {
-			e.w, e.r = w, r
-			e.wOverR = w / r
-			e.wOverR2 = w / (r * r)
-		}
-		total += w
-		sum += e.wOverR
-		if e.wOverR2 > best {
-			best = e.wOverR2
+	var lia cc.Linked
+	if c.opts.Coupling != cc.Uncoupled {
+		for _, s := range c.subflows {
+			if s.State() == tcp.Established && !s.Suspended() {
+				lia.Add(s.Cwnd(), s.SRTT())
+			}
 		}
 	}
-	if total <= 0 || sum <= 0 {
-		return 1
-	}
-	alpha := total * best / (sum * sum)
-	inc := alpha * sf.Cwnd() / total
-	return min(inc, 1)
+	return lia.PerRound(sf.Cwnd())
 }
 
 // String summarizes the connection.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/link"
 	"repro/internal/sim"
@@ -202,28 +203,40 @@ func TestIdleDetection(t *testing.T) {
 
 func TestLIAIsLessAggressiveThanUncoupled(t *testing.T) {
 	// On a shared-bottleneck-like setup, LIA's coupled increase must be
-	// at most Reno's per subflow.
+	// at most Reno's per subflow, and it must be the shared cc.Linked
+	// value over the connection's established subflows.
 	e := newEnv(10, 10)
-	c := e.twoPath(Options{Coupling: LIA, SubflowConfig: tcp.DefaultConfig()})
+	c := e.twoPath(Options{Coupling: cc.LIA, SubflowConfig: tcp.DefaultConfig()})
 	c.Download(256*units.MB, nil)
 	e.eng.RunUntil(5)
 	cs := (*connSource)(c)
+	var lia cc.Linked
+	for _, sf := range c.Subflows() {
+		if sf.State() != tcp.Established {
+			t.Fatalf("%s not established at t=5", sf.ID)
+		}
+		lia.Add(sf.Cwnd(), sf.SRTT())
+	}
 	for _, sf := range c.Subflows() {
 		inc := cs.IncreasePerRTT(sf)
 		if inc <= 0 || inc > 1 {
 			t.Errorf("LIA increase for %s = %v, want (0,1]", sf.ID, inc)
+		}
+		if want := lia.PerRound(sf.Cwnd()); inc != want {
+			t.Errorf("LIA increase for %s = %v, cc.Linked.PerRound = %v", sf.ID, inc, want)
 		}
 	}
 }
 
 func TestUncoupledIncreaseIsOne(t *testing.T) {
 	e := newEnv(10, 10)
-	c := e.twoPath(Options{Coupling: Uncoupled, SubflowConfig: tcp.DefaultConfig()})
+	c := e.twoPath(Options{Coupling: cc.Uncoupled, SubflowConfig: tcp.DefaultConfig()})
 	c.Download(units.MB, nil)
 	e.eng.RunUntil(2)
 	cs := (*connSource)(c)
-	if got := cs.IncreasePerRTT(c.Subflows()[0]); got != 1 {
-		t.Errorf("uncoupled increase = %v, want 1", got)
+	sf := c.Subflows()[0]
+	if got, want := cs.IncreasePerRTT(sf), (cc.Linked{}).PerRound(sf.Cwnd()); got != 1 || got != want {
+		t.Errorf("uncoupled increase = %v, want 1 (the empty cc.Linked's %v)", got, want)
 	}
 }
 

@@ -4,35 +4,26 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/units"
-)
-
-// Coupling selects the congestion-avoidance coupling across subflows.
-type Coupling int
-
-const (
-	// Uncoupled runs independent Reno on every subflow.
-	Uncoupled Coupling = iota
-	// LIA applies RFC 6356's linked-increases algorithm: the per-ACK
-	// increase on subflow i is min(alpha/cwnd_total, 1/cwnd_i), with
-	// alpha recomputed from live windows and RTTs — the packet-granular
-	// counterpart of internal/mptcp's per-round coupled increase.
-	LIA
 )
 
 // MPConfig parameterizes a packet-level MPTCP connection.
 type MPConfig struct {
 	// Config applies to every subflow.
 	Config
-	// Coupling selects Uncoupled or LIA congestion avoidance.
-	Coupling Coupling
+	// Coupling selects uncoupled Reno or LIA congestion avoidance. Under
+	// LIA the per-ACK increase on subflow i is min(alpha/cwnd_total,
+	// 1/cwnd_i), with alpha recomputed from live windows and RTTs — the
+	// packet-granular counterpart of internal/mptcp's per-round increase.
+	Coupling cc.Coupling
 }
 
 // DefaultMPConfig couples DefaultConfig subflows with LIA, matching
 // internal/mptcp's defaults.
 func DefaultMPConfig() MPConfig {
-	return MPConfig{Config: DefaultConfig(), Coupling: LIA}
+	return MPConfig{Config: DefaultConfig(), Coupling: cc.LIA}
 }
 
 // MPResult reports a finished (or horizon-cut) multipath transfer.
@@ -208,34 +199,20 @@ func (c *conn) ensureRcvCap(connSeq int) {
 // every subflow's processing.
 func (c *conn) finished(*sender) bool { return c.done }
 
-// caIncrease implements sink: plain Reno when uncoupled, RFC 6356 LIA
-// otherwise. alpha is recomputed from the live windows and smoothed RTTs
-// of established subflows, exactly as internal/mptcp's IncreasePerRTT
-// does per round — here applied per ACK as min(alpha/cwnd_total,
-// 1/cwnd_i).
+// caIncrease implements sink: plain Reno when uncoupled (an empty
+// cc.Linked), RFC 6356 LIA otherwise, with alpha recomputed from the live
+// windows and smoothed RTTs of established subflows, exactly as
+// internal/mptcp's IncreasePerRTT does per round.
 func (c *conn) caIncrease(s *sender) float64 {
-	if c.cfg.Coupling == Uncoupled {
-		return 1 / s.cwnd
-	}
-	var total, sum, best float64
-	for _, sf := range c.subs[:c.active] {
-		if !sf.established || sf.srtt <= 0 {
-			continue
-		}
-		total += sf.cwnd
-		sum += sf.cwnd / sf.srtt
-		if v := sf.cwnd / (sf.srtt * sf.srtt); v > best {
-			best = v
+	var lia cc.Linked
+	if c.cfg.Coupling != cc.Uncoupled {
+		for _, sf := range c.subs[:c.active] {
+			if sf.established {
+				lia.Add(sf.cwnd, sf.srtt)
+			}
 		}
 	}
-	if total <= 0 || sum <= 0 {
-		return 1 / s.cwnd
-	}
-	inc := total * best / (sum * sum) / total // alpha / cwnd_total
-	if o := 1 / s.cwnd; o < inc {
-		inc = o
-	}
-	return inc
+	return lia.PerACK(s.cwnd)
 }
 
 var connPool = sync.Pool{New: func() any { return new(conn) }}

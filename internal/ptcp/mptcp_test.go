@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -111,8 +112,8 @@ func TestMPTCPLIAGentlerThanUncoupled(t *testing.T) {
 		{Rate: units.MbpsRate(6), OneWayDelay: 0.045, QueuePackets: 32},
 	}
 	size := 16 * units.MB
-	lia := runMP(t, MPConfig{Config: DefaultConfig(), Coupling: LIA}, links, size, 600)
-	unc := runMP(t, MPConfig{Config: DefaultConfig(), Coupling: Uncoupled}, links, size, 600)
+	lia := runMP(t, MPConfig{Config: DefaultConfig(), Coupling: cc.LIA}, links, size, 600)
+	unc := runMP(t, MPConfig{Config: DefaultConfig(), Coupling: cc.Uncoupled}, links, size, 600)
 	if !lia.Completed || !unc.Completed {
 		t.Fatalf("not completed: lia %+v unc %+v", lia, unc)
 	}

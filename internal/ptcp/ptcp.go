@@ -28,6 +28,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -149,8 +150,8 @@ type sender struct {
 	acked         bitring // segments delivered and acknowledged
 	rtx           bitring // holes already retransmitted this recovery
 	inFlightCount int
-	flightLo      int // no set inFlight bit lives below this (≤ highestAck)
-	staleFlight   int // set inFlight bits below highestAck
+	flightLo      int     // no set inFlight bit lives below this (≤ highestAck)
+	staleFlight   int     // set inFlight bits below highestAck
 	dseq          []int32 // subflow seq → connection seq (MPTCP only); same mask as the rings
 
 	// The pipe: pending ACKs of accepted segments, in arrival order (the
@@ -386,7 +387,7 @@ func (s *sender) onAck(seq int, rttSample float64) {
 		d = -d
 	}
 	s.rttvar = 0.75*s.rttvar + 0.25*d
-	s.srtt = 0.875*s.srtt + 0.125*rttSample
+	s.srtt = cc.SRTT(s.srtt, rttSample)
 
 	if seq >= s.flightLo && s.inFlight.get(seq) {
 		s.inFlight.clear(seq)
@@ -473,7 +474,7 @@ func (s *sender) onDupAck() {
 		s.res.FastRecoveries++
 		s.inRecovery = true
 		s.recoverSeq = s.nextSeq
-		s.ssthresh = math.Max(s.cwnd/2, 2)
+		s.ssthresh = cc.Halve(s.cwnd)
 		s.cwnd = s.ssthresh
 		// Start the episode with a clean rtx set. Slots below highestAck
 		// were cleared by the advance loop; stale bits from the previous
@@ -555,7 +556,7 @@ func (s *sender) onRTO() {
 		return
 	}
 	s.res.Timeouts++
-	s.ssthresh = math.Max(s.cwnd/2, 2)
+	s.ssthresh = cc.Halve(s.cwnd)
 	s.cwnd = 1
 	s.inRecovery = false
 	s.dupAcks = 0

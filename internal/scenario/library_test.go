@@ -33,8 +33,8 @@ func TestWildDrawBounds(t *testing.T) {
 		for seed := int64(0); seed < 50; seed++ {
 			eng := sim.New()
 			src := simrng.New(seed)
-			w := sc.WiFi(eng, src.Split(0xaa)).Rate()
-			l := sc.LTE(eng, src.Split(0xbb)).Rate()
+			w := sc.WiFi(eng, src.Split(SplitWiFi)).Rate()
+			l := sc.LTE(eng, src.Split(SplitLTE)).Rate()
 			for _, r := range []units.BitRate{w, l} {
 				if q == Good && r < QualityThreshold {
 					t.Fatalf("Good draw %v below the 8 Mbps threshold", r)

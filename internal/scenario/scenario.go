@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/baseline"
+	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/eib"
 	"repro/internal/energy"
@@ -166,11 +167,21 @@ type Result struct {
 	Decisions []core.Decision
 }
 
-// meterInterval is the power-monitor sampling period.
-const meterInterval = 0.1
+// MeterInterval is the power-monitor sampling period in seconds.
+const MeterInterval = 0.1
 
-// defaultHorizon bounds runs whose workload never completes.
-const defaultHorizon = 14400
+// DefaultHorizon bounds, in seconds, runs whose workload never completes.
+const DefaultHorizon = 14400
+
+// RNG stream labels: the children Run splits from a run's root source.
+const (
+	SplitWiFi uint64 = 0xaa // the WiFi link process
+	SplitLTE  uint64 = 0xbb // the LTE link process
+	SplitWork uint64 = 0xcc // the workload
+	// SplitConn labels the first protocol connection's stream; the i-th
+	// connection (from 0) uses SplitConn+i.
+	SplitConn uint64 = 0xd0
+)
 
 // run wires one protocol into one scenario.
 type run struct {
@@ -188,11 +199,7 @@ type run struct {
 	wifiPath *tcp.Path
 	ltePath  *tcp.Path
 
-	delivered   [energy.NumInterfaces]units.ByteSize
-	meterLast   [energy.NumInterfaces]units.ByteSize
-	uplinked    [energy.NumInterfaces]units.ByteSize
-	meterLastUp [energy.NumInterfaces]units.ByteSize
-	lteTouched  bool
+	meter Meter
 
 	conns     []*mptcp.Connection
 	ctls      []*core.Controller
@@ -263,8 +270,8 @@ func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
 		}
 	}
 
-	r.wifiProc = sc.WiFi(r.eng, r.src.Split(0xaa))
-	r.lteProc = sc.LTE(r.eng, r.src.Split(0xbb))
+	r.wifiProc = sc.WiFi(r.eng, r.src.Split(SplitWiFi))
+	r.lteProc = sc.LTE(r.eng, r.src.Split(SplitLTE))
 	if m, ok := r.wifiProc.(associationSource); ok {
 		r.wifiAssoc = m
 	}
@@ -276,18 +283,18 @@ func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
 	}
 
 	// The power monitor: meter throughput into the accountant.
-	r.eng.Tick(meterInterval, r.flushMeter)
+	r.eng.Tick(MeterInterval, r.flushMeter)
 
 	// Launch the workload.
 	done := func(at float64) {
 		r.complete = at
 		r.eng.Stop()
 	}
-	sc.Work.Launch(r.eng, r.src.Split(0xcc), r.open, done)
+	sc.Work.Launch(r.eng, r.src.Split(SplitWork), r.open, done)
 
 	horizon := sc.Horizon
 	if horizon <= 0 {
-		horizon = defaultHorizon
+		horizon = DefaultHorizon
 	}
 	r.eng.Horizon = horizon
 	r.eng.Run()
@@ -295,41 +302,13 @@ func (st *RunState) runOne(sc Scenario, proto Protocol, opt Opts) Result {
 }
 
 // flushMeter advances the accountant to now with the throughput observed
-// since the last flush.
+// since the last flush, and samples the traces.
 func (r *run) flushMeter() {
 	now := r.eng.Now()
-	dt := now - r.acct.Now()
-	if dt <= 0 {
+	thr, ok := r.meter.Flush(r.acct, r.sc.Device, now, r.wifiProc.Rate())
+	if !ok {
 		return
 	}
-	var thr energy.Throughputs
-	for i := 0; i < energy.NumInterfaces; i++ {
-		deltaDown := r.delivered[i] - r.meterLast[i]
-		r.meterLast[i] = r.delivered[i]
-		deltaUp := r.uplinked[i] - r.meterLastUp[i]
-		r.meterLastUp[i] = r.uplinked[i]
-		if deltaDown <= 0 && deltaUp <= 0 {
-			continue
-		}
-		if deltaDown > 0 {
-			thr.Down[i] = units.BitRate(deltaDown.Bits() / dt)
-		}
-		if deltaUp > 0 {
-			thr.Up[i] = units.BitRate(deltaUp.Bits() / dt)
-		}
-		// Data observed on a radio that demoted to idle (e.g. WiFi after
-		// a long HTTP idle gap) wakes it; promotion skew is bounded by
-		// one meter interval.
-		if r.acct.Radio(energy.Interface(i)).State() == energy.Idle {
-			r.acct.Radio(energy.Interface(i)).Activate(r.acct.Now())
-		}
-	}
-	// Optional weak-signal model: feed the WiFi link's current quality
-	// (capacity over nominal) to the radio before integrating.
-	if nom := r.sc.Device.Radios[energy.WiFi].WeakSignalNominal; nom > 0 {
-		r.acct.Radio(energy.WiFi).SetQuality(float64(r.wifiProc.Rate()) / float64(nom))
-	}
-	r.acct.Advance(now, thr)
 	if r.energyTrace != nil {
 		r.energyTrace.Add(now, r.acct.Total().Joules())
 		for i := range r.thrTrace {
@@ -352,7 +331,7 @@ func (rc radioControl) Activate(iface energy.Interface) float64 {
 		}
 	}
 	if iface == energy.LTE {
-		rc.r.lteTouched = true
+		rc.r.meter.LTETouched = true
 	}
 	readyAt := rc.r.acct.Radio(iface).Activate(rc.r.eng.Now())
 	return math.Max(0, readyAt-rc.r.eng.Now())
@@ -391,16 +370,12 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 	opts := mptcp.DefaultOptions()
 	opts.Arena = r.arena
 	if r.proto == TCPWiFi || r.proto == TCPLTE {
-		opts.Coupling = mptcp.Uncoupled
+		opts.Coupling = cc.Uncoupled
 	}
-	conn := mptcp.New(r.eng, r.src.Split(uint64(len(r.conns))+0xd0), opts)
+	conn := mptcp.New(r.eng, r.src.Split(SplitConn+uint64(len(r.conns))), opts)
 	conn.OnDelivered = func(sf *tcp.Subflow, iface energy.Interface, n units.ByteSize) {
 		if iface >= 0 && int(iface) < energy.NumInterfaces {
-			if uplink {
-				r.uplinked[iface] += n
-			} else {
-				r.delivered[iface] += n
-			}
+			r.meter.Count(iface, n, uplink)
 		}
 	}
 	r.conns = append(r.conns, conn)
@@ -530,44 +505,21 @@ func (r *run) openConn(uplink bool) *mptcp.Connection {
 	return conn
 }
 
-// collect finalizes accounting and builds the Result.
+// collect finalizes accounting and builds the Result: the metered
+// fields, plus the traces and the controllers' switch history.
 func (r *run) collect() Result {
 	r.flushMeter()
-	completed := !math.IsNaN(r.complete)
-	if completed {
-		// A power monitor keeps recording through the cellular tail; the
-		// fixed cost after the last byte belongs to the transfer.
-		r.acct.Drain()
-	}
-	res := Result{
-		Protocol:       r.proto,
-		Completed:      completed,
-		CompletionTime: r.complete,
-		Elapsed:        r.eng.Now(),
-		Energy:         r.acct.Total(),
-		BaseEnergy:     r.acct.BaseEnergy(),
-		Switches:       0,
-		LTEUsed:        r.lteTouched || r.acct.InterfaceEnergy(energy.LTE) > 0,
-	}
+	res := r.meter.Result(r.acct, r.sc.Device, r.proto, r.complete, r.eng.Now())
 	// Traces are cloned out of the pooled scratch buffers: the Result
 	// outlives this run slot's reuse.
 	if r.energyTrace != nil {
 		res.EnergyTrace = r.energyTrace.Clone()
 	}
-	for i := 0; i < energy.NumInterfaces; i++ {
-		res.ByIface[i] = r.acct.InterfaceEnergy(energy.Interface(i))
-		res.Downloaded += r.delivered[i]
-		res.Uploaded += r.uplinked[i]
-		if r.thrTrace[i] != nil {
-			res.ThroughputTrace[i] = r.thrTrace[i].Clone()
+	for i, tr := range r.thrTrace {
+		if tr != nil {
+			res.ThroughputTrace[i] = tr.Clone()
 		}
 	}
-	if moved := res.Downloaded + res.Uploaded; moved > 0 {
-		res.JPerByte = res.Energy.PerByte(moved)
-	} else {
-		res.JPerByte = math.Inf(1)
-	}
-	res.BatteryPct = r.sc.Device.BatteryFraction(res.Energy) * 100
 	for _, ctl := range r.ctls {
 		res.Switches += ctl.Switches
 		res.Decisions = append(res.Decisions, ctl.Decisions...)

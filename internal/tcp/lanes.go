@@ -7,12 +7,11 @@ import "repro/internal/units"
 // held as structure-of-arrays slices, indexed sub*K+lane so one round-
 // coalesced dispatch touches the live lanes of a subflow contiguously.
 //
-// The arithmetic methods below are the exact expressions of the scalar
-// Subflow round loop (established, applyIdleReset, startRound,
-// finishRound), lifted onto the striped state. Bit-identity with the
-// scalar path is the contract: FuzzLockstepEquivalence in
-// internal/lockstep compares full per-seed Results against sequential
-// scenario.Run calls, so any drift here fails the fuzz target.
+// The vector holds state only: the lockstep executor applies the same
+// internal/cc arithmetic the scalar Subflow round loop uses to its
+// elements. Bit-identity with the scalar path is the contract:
+// FuzzLockstepEquivalence in internal/lockstep compares full per-seed
+// Results against sequential scenario.Run calls.
 type LaneVec struct {
 	K int // lanes per subflow stripe
 
@@ -64,114 +63,4 @@ func (v *LaneVec) Resize(nSub, k int) {
 	v.Srtt = grow(v.Srtt)
 	v.LastSendAt = grow(v.LastSendAt)
 	v.HsRTT = grow(v.HsRTT)
-}
-
-// Establish completes the handshake at index i: the scalar established()
-// state transition.
-func (v *LaneVec) Establish(i int, now float64, cfg *Config) {
-	v.State[i] = Established
-	v.Srtt[i] = v.HsRTT[i]
-	v.Cwnd[i] = cfg.InitialWindow
-	v.Ssthresh[i] = cfg.MaxWindow
-	v.LastSendAt[i] = now
-}
-
-// RTO returns index i's current retransmission timeout.
-func (v *LaneVec) RTO(i int, cfg *Config) float64 {
-	return max(cfg.MinRTO, 2*v.Srtt[i])
-}
-
-// IdleReset applies RFC 2861 at index i: reset cwnd after an idle period
-// longer than the RTO, unless disabled or never sent.
-func (v *LaneVec) IdleReset(i int, now float64, cfg *Config) {
-	if cfg.DisableIdleCwndReset || !v.EverSent[i] {
-		return
-	}
-	if now-v.LastSendAt[i] > v.RTO(i, cfg) {
-		v.Cwnd[i] = cfg.InitialWindow
-		v.Ssthresh[i] = cfg.MaxWindow
-	}
-}
-
-// Want returns the bytes index i's next round would request: one
-// congestion window.
-func (v *LaneVec) Want(i int, cfg *Config) units.ByteSize {
-	return units.ByteSize(v.Cwnd[i]) * cfg.MSS
-}
-
-// RoundPlan computes one round's transmission outcome at index i for n
-// bytes over a share-limited path with this round's jittered rtt: whether
-// the offered load congests the share, and the round duration. It is the
-// startRound arithmetic between the RNG draw and the event push.
-func (v *LaneVec) RoundPlan(n units.ByteSize, rtt float64, share units.BitRate) (congested bool, dur float64) {
-	offered := units.BitRate(n.Bits() / rtt)
-	congested = offered > share
-	dur = max(rtt, n.Bits()/float64(share))
-	return congested, dur
-}
-
-// BeginRound marks index i busy with n bytes in flight.
-func (v *LaneVec) BeginRound(i int, n units.ByteSize) {
-	v.InRound[i] = true
-	v.EverSent[i] = true
-	v.Inflight[i] = n
-}
-
-// RoundSRTT closes the round at index i: the finishRound bookkeeping
-// before the window update (busy flag, send timestamp, smoothed RTT).
-// It returns the bytes that were in flight.
-func (v *LaneVec) RoundSRTT(i int, now, dur float64) units.ByteSize {
-	n := v.Inflight[i]
-	v.Inflight[i] = 0
-	v.InRound[i] = false
-	v.LastSendAt[i] = now
-	v.Srtt[i] = 0.875*v.Srtt[i] + 0.125*dur
-	return n
-}
-
-// ApplyWindow applies the round's congestion response at index i: fast-
-// recovery halving on loss, doubling in slow start, or the caller-
-// computed congestion-avoidance increase (1 for uncoupled Reno, the LIA
-// coupled value), then the window clamps. The increase is a parameter
-// because LIA reads sibling-lane state the vector cannot see; callers
-// must compute it after RoundSRTT, as the scalar path does.
-func (v *LaneVec) ApplyWindow(i int, lost bool, inc float64, cfg *Config) {
-	if lost {
-		v.Ssthresh[i] = max(v.Cwnd[i]/2, 2)
-		v.Cwnd[i] = v.Ssthresh[i]
-	} else if v.Cwnd[i] < v.Ssthresh[i] {
-		v.Cwnd[i] = min(v.Cwnd[i]*2, v.Ssthresh[i])
-	} else {
-		v.Cwnd[i] += inc
-	}
-	v.Cwnd[i] = min(v.Cwnd[i], cfg.MaxWindow)
-	v.Cwnd[i] = max(v.Cwnd[i], 1)
-}
-
-// LIAIncrease computes the RFC 6356 linked increase for index i over the
-// subflow stripes of its lane: lane is i's lane, and nSub the stripe
-// count. It mirrors connSource.IncreasePerRTT (without the quotient memo,
-// which is bit-transparent) including the established/suspended/srtt
-// skip rules; lockstep lanes never suspend, so suspension is not
-// consulted here.
-func (v *LaneVec) LIAIncrease(i, lane, nSub int) float64 {
-	var total, sum, best float64
-	for s := 0; s < nSub; s++ {
-		j := s*v.K + lane
-		if v.State[j] != Established || v.Srtt[j] <= 0 {
-			continue
-		}
-		w, r := v.Cwnd[j], v.Srtt[j]
-		total += w
-		sum += w / r
-		if q := w / (r * r); q > best {
-			best = q
-		}
-	}
-	if total <= 0 || sum <= 0 {
-		return 1
-	}
-	alpha := total * best / (sum * sum)
-	inc := alpha * v.Cwnd[i] / total
-	return min(inc, 1)
 }

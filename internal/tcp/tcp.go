@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cc"
 	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/simrng"
@@ -313,7 +314,7 @@ func (sf *Subflow) rtt() float64 {
 
 // rto returns the current retransmission timeout.
 func (sf *Subflow) rto() float64 {
-	return max(sf.cfg.MinRTO, 2*sf.srtt)
+	return cc.RTO(sf.cfg.MinRTO, sf.srtt)
 }
 
 // Connect starts the three-way handshake, taking extraDelay seconds before
@@ -405,10 +406,8 @@ func (sf *Subflow) applyIdleReset() {
 	if sf.cfg.DisableIdleCwndReset || !sf.everSent {
 		return
 	}
-	if sf.eng.Now()-sf.lastSendAt > sf.rto() {
-		sf.cwnd = sf.cfg.InitialWindow
-		sf.ssthresh = sf.cfg.MaxWindow
-	}
+	sf.cwnd, sf.ssthresh = cc.IdleReset(sf.cwnd, sf.ssthresh, sf.eng.Now()-sf.lastSendAt,
+		sf.rto(), sf.cfg.InitialWindow, sf.cfg.MaxWindow)
 }
 
 // startRound begins one transmission round.
@@ -446,11 +445,7 @@ func (sf *Subflow) startRound(deferOK bool) *roundState {
 		return nil
 	}
 
-	offered := units.BitRate(n.Bits() / rtt)
-	congested := offered > share
-	// Round duration: the self-clocked RTT, stretched when the pipe
-	// cannot carry a full window per RTT.
-	dur := max(rtt, n.Bits()/float64(share))
+	congested, dur := cc.Plan(n.Bits(), rtt, float64(share))
 
 	// Random per-packet loss aggregated to a per-round loss event. The
 	// lossless case short-circuits: math.Pow(1, pkts) is exactly 1, so
@@ -478,7 +473,7 @@ func (r *roundState) timeout() {
 	sf.inRound = false
 	sf.Losses++
 	sf.cwnd = sf.cfg.InitialWindow
-	sf.ssthresh = max(sf.ssthresh/2, 2)
+	sf.ssthresh = cc.Halve(sf.ssthresh)
 	sf.lastSendAt = sf.eng.Now()
 	if rec := sf.eng.Recorder(); rec != nil {
 		rec.Record(trace.Event{
@@ -537,19 +532,16 @@ func (sf *Subflow) finishRound(r *roundState) *roundState {
 	sf.Rounds++
 	sf.lastSendAt = sf.eng.Now()
 	// Update the smoothed RTT with this round's effective duration.
-	sf.srtt = 0.875*sf.srtt + 0.125*dur
+	sf.srtt = cc.SRTT(sf.srtt, dur)
 
 	if lost {
 		sf.Losses++
-		sf.ssthresh = max(sf.cwnd/2, 2)
-		sf.cwnd = sf.ssthresh // fast recovery, not timeout
-	} else if sf.cwnd < sf.ssthresh {
-		sf.cwnd = min(sf.cwnd*2, sf.ssthresh) // slow start
-	} else {
-		sf.cwnd += sf.source.IncreasePerRTT(sf) // congestion avoidance
 	}
-	sf.cwnd = min(sf.cwnd, sf.cfg.MaxWindow)
-	sf.cwnd = max(sf.cwnd, 1)
+	var inc float64
+	if cc.Avoiding(sf.cwnd, sf.ssthresh, lost) {
+		inc = sf.source.IncreasePerRTT(sf)
+	}
+	sf.cwnd, sf.ssthresh = cc.Window(sf.cwnd, sf.ssthresh, lost, inc, sf.cfg.MaxWindow)
 	if rec := sf.eng.Recorder(); rec != nil {
 		if lost {
 			rec.Record(trace.Event{

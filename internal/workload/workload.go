@@ -67,12 +67,13 @@ func (w FileUpload) TotalBytes() units.ByteSize { return w.Size }
 // in 250 s, not a completion time.
 type Bulk struct{}
 
-// bulkSize is effectively infinite at the simulated rates and durations.
-const bulkSize = 1 << 40 // 1 TiB
+// BulkSize is the one transfer Bulk requests: effectively infinite at the
+// simulated rates and durations.
+const BulkSize units.ByteSize = 1 << 40 // 1 TiB
 
 // Launch implements Workload.
 func (Bulk) Launch(eng *sim.Engine, src *simrng.Source, open func() Conn, done func(at float64)) {
-	open().Get(bulkSize, done)
+	open().Get(BulkSize, done)
 }
 
 // TotalBytes implements Workload.
