@@ -204,3 +204,30 @@ func TestCampaignSubcommand(t *testing.T) {
 		t.Errorf("wild campaign produced %d cells, want 12:\n%.400s", got, wild.String())
 	}
 }
+
+// TestCampaignCacheDirExactSize pins bug 1 through a shared -cachedir:
+// the run key used to round sizes to 0.1 MB, so a 16.04 MB campaign on
+// a store a 16 MB campaign had filled was served the 16 MB results.
+func TestCampaignCacheDirExactSize(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "cache")
+	wild := func(size string, withCache bool) (out, stderr string) {
+		t.Helper()
+		args := []string{"campaign", "-j", "1", "-population", "2", "-size", size, "-v"}
+		if withCache {
+			args = append(args, "-cachedir", cache)
+		}
+		var o, e strings.Builder
+		if code := run(append(args, "wild"), &o, &e); code != 0 {
+			t.Fatalf("-size %s: exit %d, stderr: %s", size, code, e.String())
+		}
+		return o.String(), e.String()
+	}
+	wild("16", true)
+	got, stderr := wild("16.04", true)
+	if !strings.Contains(stderr, " 0 disk hits") {
+		t.Errorf("16.04 MB campaign hit the 16 MB entries: %s", stderr)
+	}
+	if cold, _ := wild("16.04", false); got != cold {
+		t.Error("16.04 MB campaign on the 16 MB store differs from its cold run")
+	}
+}

@@ -6,9 +6,11 @@
 //	emptcpsim [-device s3|n5] [-seed N] [-quick] [-csv] [-j N] [-v]
 //	          [-trace FILE] [-metrics FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] [experiment ...]
-//	emptcpsim campaign [-cachedir DIR] [-j N] [-o FILE] [-v] (SPEC.json | - | wild)
+//	emptcpsim campaign [-cachedir DIR] [-j N] [-o FILE] [-v]
+//	          [-cpuprofile FILE] [-memprofile FILE] (SPEC.json | - | wild)
 //	emptcpsim serve [-addr HOST:PORT] [-cachedir DIR] [-j N] [-token T] [-lease-ttl D]
 //	emptcpsim worker -coordinator URL [-cachedir DIR] [-j N] [-token T]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no arguments it lists the available experiments. Pass experiment
 // ids ("fig5", "table2", ...) or "all" to run everything in paper order.
@@ -24,8 +26,8 @@
 // run numbering is meaningful, and both are byte-identical at any -j.
 //
 // -v prints lockstep statistics to stderr after the run. -cpuprofile and
-// -memprofile write pprof profiles of the whole invocation for
-// `go tool pprof`.
+// -memprofile (here and on campaign and worker) write pprof profiles of
+// the whole invocation for `go tool pprof`.
 package main
 
 import (
@@ -85,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsFile := fs.String("metrics", "", "write per-run JSON metrics to FILE (single experiment only)")
 	useLockstep := fs.Bool("lockstep", true, "lane-batch repeated same-scenario runs (same output; 0 disables)")
 	verbose := fs.Bool("v", false, "print lockstep statistics to stderr")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to FILE")
-	memProfile := fs.String("memprofile", "", "write an allocation profile to FILE on exit")
+	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // asked-for help is not an error
@@ -99,36 +100,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			f.Close()
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := prof.start(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // profile live objects, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	cfg := exp.Config{BaseSeed: *seed, Quick: *quickMode, Jobs: *jobs, NoLockstep: !*useLockstep}
 	switch *device {
@@ -228,6 +205,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lockstep: %d lane runs, %d peeled\n", lanes, peels)
 	}
 	return 0
+}
+
+// profiles holds the -cpuprofile and -memprofile flags every
+// long-running subcommand takes.
+type profiles struct{ cpu, mem *string }
+
+// profileFlags registers -cpuprofile and -memprofile on fs.
+func profileFlags(fs *flag.FlagSet) profiles {
+	return profiles{
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to FILE"),
+		mem: fs.String("memprofile", "", "write an allocation profile to FILE on exit"),
+	}
+}
+
+// start begins the CPU profile, if asked for. The returned stop ends it
+// and writes the heap profile; call it once the profiled work is done.
+func (p profiles) start(stderr io.Writer) (stop func(), err error) {
+	var cpu *os.File
+	if *p.cpu != "" {
+		if cpu, err = os.Create(*p.cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+		}
+		if *p.mem == "" {
+			return
+		}
+		f, err := os.Create(*p.mem)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // profile live objects, not transient garbage
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintln(stderr, err)
+		}
+	}, nil
 }
 
 // exportTrace writes the collected per-run timelines and metrics.

@@ -151,6 +151,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	sizeMB := fs.Float64("size", 16, "download size in MB for the wild spec")
 	population := fs.Int("population", 30, "seeds per cell for the wild spec")
 	replicate := fs.Int("replicate", 1, "grid replication factor for the wild spec")
+	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -192,6 +193,13 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+
+	stopProfiles, err := prof.start(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer stopProfiles()
 
 	store, code := openStore(*cacheDir, stderr)
 	if code != 0 {

@@ -35,6 +35,7 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts")
 	name := fs.String("name", "", "worker name in coordinator lease state (default host/pid)")
 	verbose := fs.Bool("v", false, "log each leased shard and completion to stderr")
+	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -88,9 +89,19 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fmt.Fprintf(stderr, "emptcpsim worker: pulling from %s (-j %d)\n", *coordinator, *jobs)
+	stopProfiles, err := prof.start(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		store.Close()
+		return 1
+	}
+	defer stopProfiles()
+
+	// Announce only once the signal handler is in place: from then on
+	// SIGINT/SIGTERM stop the worker cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	fmt.Fprintf(stderr, "emptcpsim worker: pulling from %s (-j %d)\n", *coordinator, *jobs)
 	w.Run(ctx) // returns only on signal
 
 	exit := 0

@@ -14,8 +14,7 @@ import (
 )
 
 // The replay path's per-run budget: cellAt must stay in the
-// nanoseconds, and CacheKey's ~20µs is why Job memoizes keys for
-// replicated grids.
+// nanoseconds, and CacheKey under a microsecond with no allocation.
 func BenchmarkRunAtAndKey(b *testing.B) {
 	g, err := compile(smallSpec())
 	if err != nil {

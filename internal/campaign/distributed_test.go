@@ -289,6 +289,47 @@ func TestDistributedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLeaseBeforeExecute pins bug 5: workers that start polling before
+// Execute marks the job running must retry, not leave. They used to see
+// gone and exit, and Execute with NoLocalExec then waited forever.
+func TestLeaseBeforeExecute(t *testing.T) {
+	spec := smallSpec()
+	spec.ShardSize = 4
+	j, err := New(spec, Options{Jobs: 1, NoLocalExec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, gone := j.Lease("remote/early"); ok || gone {
+		t.Errorf("lease on queued job: ok=%v gone=%v, want retry", ok, gone)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, name := range []string{"remote/a", "remote/b"} {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			remoteLoop(t, j, name, done)
+		}(name)
+	}
+	time.Sleep(50 * time.Millisecond) // every worker's first lease lands before Execute
+	execErr := make(chan error, 1)
+	go func() { execErr <- j.Execute() }()
+	select {
+	case err := <-execErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		j.Cancel()
+		t.Fatal("Execute hung: the early workers left the queued job")
+	}
+	close(done)
+	wg.Wait()
+	if p := j.Progress(); p.RemoteRuns != p.TotalRuns {
+		t.Fatalf("remote runs %d of %d", p.RemoteRuns, p.TotalRuns)
+	}
+}
+
 // TestWorkerCrashReassign kills a lease holder mid-campaign (it leases
 // shards and never completes them) and asserts the TTL expiry path
 // hands its shards back to the surviving local worker, with output

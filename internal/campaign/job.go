@@ -102,12 +102,11 @@ type executor struct {
 	flight *runcache.Flight[scenario.Result]
 
 	// keys memoizes the base grid's cache keys when Replicate > 1:
-	// replica r of run i shares run i's key, and computing a key costs
-	// ~20µs (a reflective digest of the device profile), which would
-	// dominate a cache-replay campaign. Sized to one replica — the
-	// base grid — so population-scale campaigns (small grid, huge
-	// Replicate) pay O(base), not O(runs). Filled once before the
-	// first shard folds; read-only after.
+	// replica r of run i shares run i's key, so a replica replayed from
+	// the store skips building its scenario and hashing the key again.
+	// Sized to one replica — the base grid — so population-scale
+	// campaigns (small grid, huge Replicate) pay O(base), not O(runs).
+	// Filled once before the first shard folds; read-only after.
 	keyOnce sync.Once
 	keys    []runcache.Key
 	keyOK   []bool
@@ -581,10 +580,18 @@ func (j *Job) running() bool {
 }
 
 // Lease grants the caller (a remote worker) one shard, or ok=false when
-// nothing is currently available. gone is true once the job is not
-// running — the worker should stop polling this campaign.
+// nothing is currently available — also while the job is still queued,
+// so a worker that polls before Execute starts it retries rather than
+// leaving. gone is true once the job is done, failed or cancelled — the
+// worker should stop polling this campaign.
 func (j *Job) Lease(worker string) (g LeaseGrant, ok, gone bool) {
-	if !j.running() || j.cancelled() {
+	j.mu.Lock()
+	st := j.status
+	j.mu.Unlock()
+	if st == StatusQueued && !j.cancelled() {
+		return LeaseGrant{}, false, false
+	}
+	if st != StatusRunning || j.cancelled() {
 		return LeaseGrant{}, false, true
 	}
 	s, token, ok := j.leases.acquire(worker)

@@ -302,8 +302,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the requesting worker one shard of the campaign.
 // 200 carries a LeaseGrant; 204 means nothing is available right now
-// (every remaining shard is done or leased — poll again); 410 means the
-// campaign is not running and the worker should drop it.
+// (the campaign has not started yet, or every remaining shard is done
+// or leased — poll again); 410 means the campaign has finished, failed
+// or been cancelled and the worker should drop it.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {

@@ -2,6 +2,7 @@ package eib
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,4 +85,38 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(unsorted)); err == nil {
 		t.Error("unsorted table loaded")
 	}
+}
+
+// FuzzEIBLoad feeds Load arbitrary bytes: it must never panic, and every
+// table it accepts must survive Save and a second Load unchanged.
+func FuzzEIBLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Generate(energy.GalaxyS3(), DefaultConfig()).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"device":"Prototype","config":{"SafetyFactor":-1e308},"entries":[{"LTE":-0.5},{"LTE":1e-300}]}`))
+	f.Add([]byte(`{"device":"x","entries":[{"LTE":2},{"LTE":1}]}`))
+	f.Add([]byte(`{"entries":[{}]} trailing`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tb, err := Load(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tb.Save(&out); err != nil {
+			t.Fatalf("accepted table does not save: %v", err)
+		}
+		back, err := Load(&out)
+		if err != nil {
+			t.Fatalf("saved table does not load: %v\n%s", err, out.Bytes())
+		}
+		if back.Config != tb.Config || !slices.Equal(back.Entries, tb.Entries) {
+			t.Fatalf("round trip changed the table:\n%+v\n%+v", tb, back)
+		}
+		if (back.Device == nil) != (tb.Device == nil) || back.Device != nil && back.Device.Name != tb.Device.Name {
+			t.Fatalf("round trip changed the device: %v vs %v", tb.Device, back.Device)
+		}
+	})
 }

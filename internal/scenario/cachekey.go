@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/binary"
+	"math"
 
+	"repro/internal/energy"
 	"repro/internal/runcache"
+	"repro/internal/workload"
 )
 
 // RunCache is read by no code: every run simulates once per call.
@@ -22,38 +25,149 @@ func NewRunCache() *RunCache { return &RunCache{} }
 // Deprecated: ignored.
 func (*RunCache) Stats() (hits, misses uint64) { return 0, 0 }
 
+// keySchema versions the run-key encoding. Changing the encoding, or
+// what a run depends on, must bump it: every key then changes, so stores
+// written under the old encoding miss once and their runs re-simulate.
+// Schema 1 was a text digest that rounded sizes, rates and powers.
+const keySchema = 2
+
+// keyMagic opens every encoded run key.
+const keyMagic = "emptcp run key"
+
+// Workload type tags in the run key.
+const (
+	workFileDownload byte = iota + 1
+	workFileUpload
+	workBulk
+	workWebPage
+	workStreaming
+)
+
 // CacheKey digests everything a run's outcome depends on: the
 // scenario's construction (device profile contents, link signature,
 // RTTs, horizon, workload, controller overrides, app power), the
 // protocol, and the run options (seed, tracing). It reports ok=false
 // when the run is not cache-eligible: the scenario was built outside
 // this package's library (no link signature, so the link-builder funcs
-// are opaque), or a Recorder observes the run's events in-line. The
-// campaign engine keys its disk store with it.
+// are opaque), its workload is not one of package workload's value
+// types, or a Recorder observes the run's events in-line. The campaign
+// engine keys its disk store with it.
 //
-// Everything digested is a value: DeviceProfile, core.Config, and the
-// workload types are plain data structs, so %+v prints their full
-// contents and two scenarios digest equal iff a run cannot tell them
-// apart. The per-run RNG is rebuilt from Seed, so equal digests imply
-// bit-identical results.
+// The digest is SHA-256 over an explicit binary encoding: a schema
+// version, then every input field in a fixed order — floats as their
+// IEEE-754 bits, integers at fixed width, strings length-prefixed, a
+// tag for the workload's type and for each pointer's nil-ness. Two
+// inputs therefore share a key only if a run cannot tell them apart
+// (TraceStep ≤ 0 and 1 are one spelling of the default), and the per-run
+// RNG is rebuilt from Seed, so equal keys imply bit-identical results.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
-	if sc.linkSig == "" || opt.Recorder != nil {
+	if sc.linkSig.kind == linkCustom || opt.Recorder != nil {
 		return runcache.Key{}, false
 	}
 	if opt.TraceStep <= 0 {
 		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "links|%s\n", sc.linkSig)
-	fmt.Fprintf(h, "name|%s\n", sc.Name)
-	fmt.Fprintf(h, "device|%+v\n", *sc.Device)
-	fmt.Fprintf(h, "paths|%v|%v|%v|%v\n", sc.WiFiRTT, sc.LTERTT, sc.Horizon, sc.AppPower)
-	if sc.CoreConfig != nil {
-		fmt.Fprintf(h, "core|%+v\n", *sc.CoreConfig)
+	var buf [1024]byte
+	b := buf[:0]
+	b = appendStr(b, keyMagic)
+	b = appendU64(b, keySchema)
+	b = appendU8(b, byte(sc.linkSig.kind))
+	for _, a := range sc.linkSig.args {
+		b = appendU64(b, a)
 	}
-	fmt.Fprintf(h, "work|%T|%+v\n", sc.Work, sc.Work)
-	fmt.Fprintf(h, "run|%d|%d|%t|%v\n", proto, opt.Seed, opt.Trace, opt.TraceStep)
-	var k runcache.Key
-	h.Sum(k[:0])
-	return k, true
+	b = appendStr(b, sc.Name)
+	b = appendDevice(b, sc.Device)
+	b = appendF64(b, sc.WiFiRTT)
+	b = appendF64(b, sc.LTERTT)
+	b = appendF64(b, sc.Horizon)
+	b = appendF64(b, float64(sc.AppPower))
+	if c := sc.CoreConfig; c == nil {
+		b = appendU8(b, 0)
+	} else {
+		b = appendU8(b, 1)
+		b = appendF64(b, float64(c.Kappa))
+		b = appendF64(b, c.Tau)
+		b = appendF64(b, float64(c.InitialAssumedRate))
+		b = appendF64(b, c.MinSampleInterval)
+		b = appendF64(b, c.PredictorAlpha)
+		b = appendF64(b, c.PredictorBeta)
+		b = appendF64(b, float64(c.MinRate))
+	}
+	switch w := sc.Work.(type) {
+	case workload.FileDownload:
+		b = appendU8(b, workFileDownload)
+		b = appendF64(b, float64(w.Size))
+	case workload.FileUpload:
+		b = appendU8(b, workFileUpload)
+		b = appendF64(b, float64(w.Size))
+	case workload.Bulk:
+		b = appendU8(b, workBulk)
+	case workload.WebPage:
+		b = appendU8(b, workWebPage)
+		b = appendU64(b, uint64(w.Objects))
+		b = appendU64(b, uint64(w.Connections))
+		b = appendF64(b, float64(w.MinObject))
+		b = appendF64(b, float64(w.MaxObject))
+		b = appendF64(b, w.ParetoAlpha)
+	case workload.Streaming:
+		b = appendU8(b, workStreaming)
+		b = appendU64(b, uint64(w.Chunks))
+		b = appendF64(b, float64(w.ChunkSize))
+		b = appendF64(b, w.ChunkInterval)
+		b = appendU64(b, uint64(w.BufferAhead))
+	default:
+		return runcache.Key{}, false
+	}
+	b = appendU64(b, uint64(proto))
+	b = appendU64(b, uint64(opt.Seed))
+	if opt.Trace {
+		b = appendU8(b, 1)
+	} else {
+		b = appendU8(b, 0)
+	}
+	b = appendF64(b, opt.TraceStep)
+	return sha256.Sum256(b), true
+}
+
+// The run key's append-style encoders: fixed-width little-endian
+// integers, floats as their bits, strings length-prefixed.
+
+func appendU8(b []byte, v byte) []byte     { return append(b, v) }
+func appendU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
+func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
+func appendStr(b []byte, s string) []byte  { return append(appendU64(b, uint64(len(s))), s...) }
+
+// appendDevice encodes every DeviceProfile field, informational ones
+// included: the key stays exact without deciding which a run reads.
+func appendDevice(b []byte, d *energy.DeviceProfile) []byte {
+	if d == nil {
+		return appendU8(b, 0)
+	}
+	b = appendU8(b, 1)
+	b = appendStr(b, d.Name)
+	b = appendStr(b, d.ReleaseDate)
+	b = appendStr(b, d.AppProcessor)
+	b = appendStr(b, d.Semiconductor)
+	b = appendStr(b, d.Android)
+	b = appendStr(b, d.Kernel)
+	b = appendStr(b, d.WiFiChipset)
+	b = appendF64(b, float64(d.DeviceBase))
+	b = appendF64(b, float64(d.BatteryCapacity))
+	for i := range d.Radios {
+		r := &d.Radios[i]
+		b = appendF64(b, float64(r.Base))
+		b = appendF64(b, float64(r.PerMbpsDown))
+		b = appendF64(b, float64(r.PerMbpsUp))
+		b = appendF64(b, r.PromoDur)
+		b = appendF64(b, float64(r.PromoPower))
+		b = appendF64(b, r.TailDur)
+		b = appendF64(b, float64(r.TailPower))
+		b = appendF64(b, float64(r.AssocEnergy))
+		b = appendF64(b, float64(r.WeakSignalNominal))
+		b = appendF64(b, float64(r.WeakSignalPenalty))
+		b = appendF64(b, r.FACHDur)
+		b = appendF64(b, float64(r.FACHPower))
+		b = appendF64(b, float64(r.FACHRate))
+	}
+	return b
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/link"
@@ -28,6 +29,40 @@ const (
 // cost sits well above good WiFi's, which this rate reproduces.
 var labLTERate = units.MbpsRate(4.5)
 
+// linkKind names the library constructor that built a scenario's links.
+type linkKind uint8
+
+// The library's link constructors. linkCustom is the zero value: a
+// scenario built outside the library, whose link builders are opaque
+// and which is therefore never keyed.
+const (
+	linkCustom linkKind = iota
+	linkStaticLab
+	linkRandomBW
+	linkBackground
+	linkMobility
+	linkMultiAP
+	linkWild
+)
+
+// linkSig stands in for the link-builder funcs in the run key
+// (CacheKey): the constructor that built them and the exact parameters
+// they close over — float64 bits, or integers widened to 64 bits.
+type linkSig struct {
+	kind linkKind
+	args [4]uint64
+}
+
+// sig builds a link signature.
+func sig(kind linkKind, args ...uint64) linkSig {
+	s := linkSig{kind: kind}
+	copy(s.args[:], args)
+	return s
+}
+
+// bits is math.Float64bits for the float-valued link parameters.
+func bits[F ~float64](v F) uint64 { return math.Float64bits(float64(v)) }
+
 // constProc adapts a fixed rate to the Scenario link-builder signature.
 func constProc(rate units.BitRate) func(*sim.Engine, *simrng.Source) link.Process {
 	return func(*sim.Engine, *simrng.Source) link.Process { return link.NewConstant(rate) }
@@ -44,7 +79,7 @@ func StaticLab(device *energy.DeviceProfile, wifiMbps, lteMbps float64, work wor
 		WiFiRTT: labWiFiRTT,
 		LTERTT:  labLTERTT,
 		Work:    work,
-		linkSig: fmt.Sprintf("staticlab|%v|%v", wifiMbps, lteMbps),
+		linkSig: sig(linkStaticLab, bits(wifiMbps), bits(lteMbps)),
 	}
 }
 
@@ -64,7 +99,7 @@ func RandomBandwidth(device *energy.DeviceProfile, work workload.Workload) Scena
 		WiFiRTT: labWiFiRTT,
 		LTERTT:  labLTERTT,
 		Work:    work,
-		linkSig: fmt.Sprintf("randbw|12|0.8|40|%v", labLTERate),
+		linkSig: sig(linkRandomBW, bits(labLTERate)),
 	}
 }
 
@@ -82,7 +117,7 @@ func BackgroundTraffic(device *energy.DeviceProfile, n int, lambdaOn, lambdaOff 
 		WiFiRTT: labWiFiRTT,
 		LTERTT:  labLTERTT,
 		Work:    work,
-		linkSig: fmt.Sprintf("bg|14|n=%d|on=%v|off=%v|%v", n, lambdaOn, lambdaOff, labLTERate),
+		linkSig: sig(linkBackground, uint64(n), bits(lambdaOn), bits(lambdaOff), bits(labLTERate)),
 	}
 }
 
@@ -105,7 +140,7 @@ func Mobility(device *energy.DeviceProfile) Scenario {
 		LTERTT:  labLTERTT,
 		Work:    workload.Bulk{},
 		Horizon: MobilityDuration,
-		linkSig: fmt.Sprintf("mobility|umass|%v", labLTERate),
+		linkSig: sig(linkMobility, bits(labLTERate)),
 	}
 }
 
@@ -203,7 +238,7 @@ func Wild(device *energy.DeviceProfile, wifiQ, lteQ Quality, loc ServerLoc, work
 		WiFiRTT: wifiRTT,
 		LTERTT:  lteRTT,
 		Work:    work,
-		linkSig: fmt.Sprintf("wild|wifi=%v|lte=%v", wifiQ, lteQ),
+		linkSig: sig(linkWild, uint64(wifiQ), uint64(lteQ)),
 	}
 }
 
@@ -227,6 +262,6 @@ func MobilityMultiAP(device *energy.DeviceProfile) Scenario {
 		aps := []phy.Point{ap, {X: 72, Y: 14}, {X: 35, Y: 25}}
 		return link.NewMultiAPWiFi(eng, phy.DefaultWiFiCell(), route, aps)
 	}
-	sc.linkSig = fmt.Sprintf("mobility|umass-multiap|72,14|35,25|%v", labLTERate)
+	sc.linkSig = sig(linkMultiAP, bits(labLTERate))
 	return sc
 }

@@ -109,12 +109,12 @@ type Scenario struct {
 	// the paper's §5.4 web measurements include. Zero by default.
 	AppPower units.Power
 
-	// linkSig is a canonical description of how WiFi and LTE were
-	// constructed, set only by this package's library constructors. The
-	// link builders are funcs and cannot be digested; the signature
-	// stands in for them in the run key (CacheKey). Custom scenarios
-	// built outside the library leave it empty and are never cached.
-	linkSig string
+	// linkSig records how WiFi and LTE were constructed, set only by
+	// this package's library constructors. The link builders are funcs
+	// and cannot be digested; the signature stands in for them in the
+	// run key (CacheKey). Custom scenarios built outside the library
+	// leave it zero and are never cached.
+	linkSig linkSig
 }
 
 // Opts carries per-run options.

@@ -37,8 +37,8 @@ func (b *LaneSources) Resize(n int) {
 // Len returns the number of lane states.
 func (b *LaneSources) Len() int { return len(b.states) }
 
-// Seed positions lane i at the start of the stream for seed, through the
-// same memoized state-vector cache Source seeding uses.
+// Seed positions lane i at the start of the stream for seed, lazily, as
+// Source seeding does.
 func (b *LaneSources) Seed(i int, seed int64) { b.states[i].Seed(seed) }
 
 // Uint64 advances lane i one step.

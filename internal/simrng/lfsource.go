@@ -1,13 +1,13 @@
 // Native reimplementation of math/rand's additive lagged-Fibonacci
-// generator, plus a bounded cache of seed→initial-state vectors.
+// generator, seeded lazily by jump-ahead.
 //
-// Why: a CPU profile of the hot benchmarks showed ~9% of run time inside
-// math/rand seeding — every Split re-derives a 607-word state vector with
-// three 20-iteration LCG draws per word. The simulator re-seeds
-// constantly (one child stream per subflow per run, hundreds of runs per
-// experiment), and because experiment repetitions reuse the same run
-// seeds, the same vectors are derived over and over. Reimplementing the
-// generator makes the state vector a plain value we can memoize and copy.
+// Why: seeding math/rand derives a 607-word state vector with 1,881
+// sequential Park–Miller steps, and the simulator seeds constantly (one
+// child stream per subflow, link process and workload per run). Most of
+// those streams draw almost nothing: in a population campaign about a
+// sixth draw no value at all and most draw four or fewer. So Seed here
+// only records the seed, and each slot of the state vector is computed
+// on its own, by jump-ahead, just before the first draw that reads it.
 //
 // The stream must be bit-identical to math/rand's: every experiment
 // output in the repo is golden-tested against byte-exact expectations.
@@ -20,10 +20,7 @@
 // pins us to whatever table the linked math/rand actually uses.
 package simrng
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 const (
 	lfLen  = 607           // degree of the recurrence x_n = x_{n-273} + x_{n-607}
@@ -34,18 +31,39 @@ const (
 	lfM    = (1 << 31) - 1 // seeding LCG modulus (2^31-1, prime)
 	lfQ    = 44488         // lfM / lfA
 	lfR    = 3399          // lfM % lfA
+
+	// lfSkip is the number of LCG steps math/rand discards before the
+	// first slot; slot i then takes steps lfSkip+1+3i .. lfSkip+3+3i.
+	lfSkip = 20
+	// lfChunk is how many draws' worth of slots a lazy stream
+	// materialises at a time.
+	lfChunk = 8
 )
 
 // lfCooked is the additive scrambling table XORed into the seeded state,
 // recovered from math/rand at package init.
 var lfCooked [lfLen]uint64
 
+// lfPow[k] is lfA^k mod lfM: the LCG's k-step jump-ahead multiplier,
+// for every step a slot uses.
+var lfPow [lfSkip + 3*lfLen + 1]uint64
+
 // lfSource is the generator state. It implements rand.Source64, so a
 // rand.Rand wrapped around it reproduces every math/rand distribution
 // (including the ziggurat ExpFloat64/NormFloat64) bit-for-bit.
+//
+// The vector is materialised lazily. For draws j < lfTap the recurrence
+// reads only the seeded slots lfLen-lfTap-1-j (feed) and lfLen-1-j
+// (tap), so those are computed a chunk of draws ahead; at draw lfTap the
+// remaining slots 0..lfLen-2*lfTap-1 are filled in and the source is an
+// ordinary eager generator. lazy is the tap index below which Uint64
+// must stop to materialise (or to wrap): 0 once eager, so the hot path
+// keeps its single compare.
 type lfSource struct {
 	tap  int
 	feed int
+	lazy int
+	x0   uint64 // normalised seed, the LCG's starting value
 	vec  [lfLen]int64
 }
 
@@ -61,9 +79,32 @@ func seedrand(x int32) int32 {
 	return x
 }
 
-// seedVec derives the initial state vector for seed, without consulting
-// the cache.
-func seedVec(seed int64, vec *[lfLen]int64) {
+// mulMod returns a·b mod lfM for 0 < a, b < lfM, by two branch-free
+// Mersenne folds. The first leaves r < 2·lfM; r ≠ lfM because lfM is
+// prime and divides neither factor, so the second fold is exact.
+func mulMod(a, b uint64) uint64 {
+	p := a * b
+	r := (p & lfM) + (p >> 31)
+	return (r & lfM) + (r >> 31)
+}
+
+// fill materialises seeded slots [lo, hi): each is the same three-word
+// value math/rand's sequential seeding reaches, by jump-ahead from x0.
+func (s *lfSource) fill(lo, hi int) {
+	x0 := s.x0
+	vec := s.vec[lo:hi]
+	cooked := lfCooked[lo:hi]
+	pow := lfPow[lfSkip+1+3*lo:]
+	for i := range vec {
+		m := pow[3*i : 3*i+3 : 3*i+3]
+		u := mulMod(x0, m[0])<<40 ^ mulMod(x0, m[1])<<20 ^ mulMod(x0, m[2])
+		vec[i] = int64(u ^ cooked[i])
+	}
+}
+
+// Seed positions the generator at the start of the stream for seed. It
+// materialises nothing: a stream that never draws costs only this.
+func (s *lfSource) Seed(seed int64) {
 	seed = seed % lfM
 	if seed < 0 {
 		seed += lfM
@@ -71,38 +112,17 @@ func seedVec(seed int64, vec *[lfLen]int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < lfLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			var u uint64
-			u = uint64(x) << 40
-			x = seedrand(x)
-			u ^= uint64(x) << 20
-			x = seedrand(x)
-			u ^= uint64(x)
-			u ^= lfCooked[i]
-			vec[i] = int64(u)
-		}
-	}
-}
-
-// Seed positions the generator at the start of the stream for seed,
-// copying the state vector from the cache when it has been derived
-// before. Repetition loops reuse run seeds heavily — each protocol
-// variant splits the same child seeds — so steady state is a hit plus a
-// 4.9 kB copy instead of ~36k LCG steps.
-func (s *lfSource) Seed(seed int64) {
+	s.x0 = uint64(seed)
 	s.tap = 0
 	s.feed = lfLen - lfTap
-	seedStates.load(seed, &s.vec)
+	s.lazy = lfLen
 }
 
 // Uint64 advances the recurrence one step.
 func (s *lfSource) Uint64() uint64 {
 	s.tap--
-	if s.tap < 0 {
-		s.tap += lfLen
+	if s.tap < s.lazy {
+		s.refill()
 	}
 	s.feed--
 	if s.feed < 0 {
@@ -113,6 +133,29 @@ func (s *lfSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// refill is Uint64's slow path: wrap the tap index, and while the
+// source is still lazy, materialise the slots the next draws read.
+func (s *lfSource) refill() {
+	if s.tap < 0 {
+		s.tap += lfLen
+		if s.tap >= s.lazy {
+			return
+		}
+	}
+	j := lfLen - 1 - s.tap // the draw about to be made
+	if j >= lfTap {
+		s.fill(0, lfLen-2*lfTap)
+		s.lazy = 0
+		return
+	}
+	// Draws j..end-1 read the feed slots 334-end..333-j and the tap
+	// slots 607-end..606-j: two contiguous runs.
+	end := min(j+lfChunk, lfTap)
+	s.fill(lfLen-lfTap-end, lfLen-lfTap-j)
+	s.fill(lfLen-end, lfLen-j)
+	s.lazy = lfLen - end
+}
+
 // Int63 returns a non-negative 63-bit value from the stream.
 func (s *lfSource) Int63() int64 {
 	return int64(s.Uint64() & lfMask)
@@ -121,52 +164,6 @@ func (s *lfSource) Int63() int64 {
 // int31 mirrors rand.Rand.Int31: the top 32 bits of Int63.
 func (s *lfSource) int31() int32 {
 	return int32(s.Int63() >> 32)
-}
-
-// seedStates caches derived state vectors, sharded 16 ways to keep
-// parallel runners off one lock. Each shard holds at most shardCap
-// vectors (16 shards × 64 × 4.9 kB ≈ 5 MB ceiling) and is cleared
-// wholesale when full — seeds recur within and across experiments, so
-// the working set re-fills almost immediately and eviction is rare.
-var seedStates seedCache
-
-const (
-	seedShards   = 16
-	seedShardCap = 64
-)
-
-type seedCache struct {
-	shards [seedShards]seedShard
-}
-
-type seedShard struct {
-	mu sync.Mutex
-	m  map[int64]*[lfLen]int64
-}
-
-func (c *seedCache) load(seed int64, dst *[lfLen]int64) {
-	sh := &c.shards[mix64(uint64(seed))&(seedShards-1)]
-	sh.mu.Lock()
-	if v, ok := sh.m[seed]; ok {
-		*dst = *v
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	// Derive outside the lock: ~36k LCG steps is long enough to stall
-	// sibling runners, and a racing duplicate derivation is harmless
-	// (both compute the same vector).
-	seedVec(seed, dst)
-	v := new([lfLen]int64)
-	*v = *dst
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[int64]*[lfLen]int64, seedShardCap)
-	} else if len(sh.m) >= seedShardCap {
-		clear(sh.m)
-	}
-	sh.m[seed] = v
-	sh.mu.Unlock()
 }
 
 // initCooked recovers math/rand's scrambling table from the output
@@ -205,7 +202,7 @@ func initCooked() {
 	}
 	// Replay the seeding LCG for seed 1 to strip u_i off each slot.
 	xs := int32(1)
-	for i := -20; i < lfLen; i++ {
+	for i := -lfSkip; i < lfLen; i++ {
 		xs = seedrand(xs)
 		if i >= 0 {
 			var u uint64
@@ -220,5 +217,9 @@ func initCooked() {
 }
 
 func init() {
+	lfPow[0] = 1
+	for k := 1; k < len(lfPow); k++ {
+		lfPow[k] = mulMod(lfPow[k-1], lfA)
+	}
 	initCooked()
 }

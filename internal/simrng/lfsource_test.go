@@ -1,6 +1,7 @@
 package simrng
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -102,30 +103,25 @@ func TestSplitEquality(t *testing.T) {
 	}
 }
 
-// TestSeedCacheEviction fills one shard past capacity and checks the
-// cleared shard still serves correct vectors afterwards.
-func TestSeedCacheEviction(t *testing.T) {
-	// Hammer enough distinct seeds to overflow every shard several times.
-	for i := 0; i < seedShards*seedShardCap*4; i++ {
-		var lf lfSource
-		lf.Seed(int64(i))
-	}
-	// Post-eviction correctness.
-	ref := rand.NewSource(12345).(rand.Source64)
-	var lf lfSource
-	lf.Seed(12345)
-	for i := 0; i < 100; i++ {
-		if got, want := lf.Uint64(), ref.Uint64(); got != want {
-			t.Fatalf("post-eviction draw %d: %#x != %#x", i, got, want)
-		}
-	}
-}
+// benchSink keeps the benchmarked draws live.
+var benchSink uint64
 
-func BenchmarkSeedCached(b *testing.B) {
-	var lf lfSource
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lf.Seed(12345)
+// BenchmarkSeedDraw seeds a fresh stream and draws n values from it:
+// the per-stream cost a run pays, at the draw counts campaign streams
+// actually make (most draw a handful; a few run past the lazy phase).
+func BenchmarkSeedDraw(b *testing.B) {
+	for _, n := range []int{0, 1, 2, 4, 8, 16, 64, 300, 607} {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			var lf lfSource
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lf.Seed(int64(i))
+				for j := 0; j < n; j++ {
+					benchSink += lf.Uint64()
+				}
+			}
+			benchSink += uint64(lf.x0)
+		})
 	}
 }
 
