@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,6 +154,26 @@ func TestCampaignSubcommand(t *testing.T) {
 	// counters (single-run -v prints the in-process analogues).
 	if !strings.Contains(errb.String(), "runcache store:") || !strings.Contains(errb.String(), "lockstep:") {
 		t.Errorf("-v missing store/lockstep stats on stderr: %s", errb.String())
+	}
+	// A warm re-run reports what opening the filled store cost: the
+	// records its recovery scan indexed and the bytes it read.
+	var warm strings.Builder
+	errb.Reset()
+	if code := run([]string{"campaign", "-j", "1", "-cachedir", cache, "-v", specPath}, &warm, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if warm.String() != ref.String() {
+		t.Errorf("warm -cachedir output differs from -j 1")
+	}
+	var gets, hits, puts, records, scanned int
+	var openMs float64
+	line := errb.String()[strings.Index(errb.String(), "runcache store:"):]
+	if _, err := fmt.Sscanf(line, "runcache store: %d gets, %d hits, %d puts; opened in %f ms (%d records, %d bytes scanned)",
+		&gets, &hits, &puts, &openMs, &records, &scanned); err != nil {
+		t.Fatalf("store line %q: %v", line, err)
+	}
+	if records == 0 || records != hits || puts != 0 || scanned < records*40 || openMs <= 0 {
+		t.Errorf("warm store line %q: want every run indexed at open and hit, none put", line)
 	}
 
 	// The -lockstep=0 escape hatch is byte-transparent.

@@ -21,13 +21,16 @@ import (
 	"repro/internal/runcache"
 )
 
-// logRunStats prints the persistent-store and lockstep counters to
-// stderr in the same shape as the single-run -v contract, so serve and
-// campaign logs are greppable with the same patterns.
+// logRunStats prints the persistent-store and lockstep counters, and
+// what opening the store cost, to stderr in the same shape as the
+// single-run -v contract, so serve and campaign logs are greppable with
+// the same patterns.
 func logRunStats(stderr io.Writer, store *runcache.Store) {
 	gets, hits, puts := store.DiskStats()
+	open := store.OpenStats()
 	lanes, peels := lockstep.Stats()
-	fmt.Fprintf(stderr, "runcache store: %d gets, %d hits, %d puts\n", gets, hits, puts)
+	fmt.Fprintf(stderr, "runcache store: %d gets, %d hits, %d puts; opened in %.1f ms (%d records, %d bytes scanned)\n",
+		gets, hits, puts, open.Took.Seconds()*1e3, open.Records, open.Bytes)
 	fmt.Fprintf(stderr, "lockstep: %d lane runs, %d peeled\n", lanes, peels)
 }
 

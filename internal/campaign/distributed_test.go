@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/runcache"
 )
 
 // fakeClock is an injectable lease clock.
@@ -659,7 +661,23 @@ func TestServerDigestCollisionRejected(t *testing.T) {
 }
 
 func TestServerStatz(t *testing.T) {
-	srv := NewServerOpts(Options{Jobs: 1})
+	// A store reopened over three records reports its recovery scan.
+	dir := t.TempDir()
+	store, err := runcache.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(0); i < 3; i++ {
+		if err := store.Put(runcache.Key{i}, []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+	if store, err = runcache.OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := NewServerOpts(Options{Jobs: 1, Disk: store})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -686,6 +704,9 @@ func TestServerStatz(t *testing.T) {
 	}
 	if st.Campaigns[0].Aggregates != nil {
 		t.Fatal("statz carries aggregates; it should stay light")
+	}
+	if st.CacheOpenRecords != 3 || st.CacheOpenMs <= 0 || !bytes.Contains(body, []byte(`"cache_open_ms"`)) {
+		t.Fatalf("statz store open: %d records in %v ms, want 3 in a positive time", st.CacheOpenRecords, st.CacheOpenMs)
 	}
 
 	// pprof is mounted.

@@ -88,8 +88,8 @@ type Progress struct {
 // executor folds shards of a compiled grid into aggregates: the part of
 // campaign execution that is identical whether it runs inside the
 // coordinator's Job or inside a remote `emptcpsim worker`. Each process
-// owns one executor per campaign, with its own disk store, single-
-// flight, and key memo.
+// owns one executor per campaign, with its own disk store and single-
+// flight.
 type executor struct {
 	g          *grid
 	disk       *runcache.Store
@@ -98,19 +98,21 @@ type executor struct {
 	// flight collapses concurrent duplicate runs (replicas landing in
 	// different workers) without retaining results: the key is
 	// forgotten as soon as the flight lands, so memory stays bounded
-	// and later duplicates are served by the disk store instead.
+	// and later duplicates are served by the disk store instead. Runs
+	// the store already holds never enter it.
 	flight *runcache.Flight[scenario.Result]
 
-	// keys memoizes the base grid's cache keys when Replicate > 1:
-	// replica r of run i shares run i's key, so a replica replayed from
-	// the store skips building its scenario and hashing the key again.
-	// Sized to one replica — the base grid — so population-scale
-	// campaigns (small grid, huge Replicate) pay O(base), not O(runs).
-	// Filled once before the first shard folds; read-only after.
-	keyOnce sync.Once
-	keys    []runcache.Key
-	keyOK   []bool
-	baseN   uint64
+	// prefixes holds one run-key prefix per (scenario, protocol)
+	// combination of the grid, indexed by grid.comboAt: a run's key
+	// hashes only its seed on top. O(cells × locations); each is built
+	// on its first run, so a worker folding a few shards builds only
+	// the combinations they touch.
+	prefixes []runPrefix
+
+	// replays is the free list of replay scratch foldShard borrows, so
+	// a worker folding shard after shard keeps one read-ahead window.
+	replayMu sync.Mutex
+	replays  []*replayState
 
 	simulated atomic.Uint64
 	diskHits  atomic.Uint64
@@ -121,6 +123,21 @@ type executor struct {
 	// counterDelta.
 	reportMu        sync.Mutex
 	repSim, repHits uint64
+}
+
+// runPrefix is one grid combination's key prefix; ok is false when its
+// runs are not cache-eligible.
+type runPrefix struct {
+	once sync.Once
+	key  scenario.KeyPrefix
+	ok   bool
+}
+
+// replayState is one folding goroutine's scratch: a store Reader with
+// its read-ahead window, and the hash state run keys finish in.
+type replayState struct {
+	r *runcache.Reader
+	h scenario.KeyHasher
 }
 
 // counterDelta returns how much simulated/diskHits grew since the last
@@ -143,7 +160,37 @@ func newExecutor(g *grid, disk *runcache.Store, noLockstep bool) *executor {
 		disk:       disk,
 		noLockstep: noLockstep,
 		flight:     runcache.NewFlight[scenario.Result](),
+		prefixes:   make([]runPrefix, g.combos()),
 	}
+}
+
+// prefixAt returns run i's key prefix, building it on first use.
+func (e *executor) prefixAt(i uint64) *runPrefix {
+	p := &e.prefixes[e.g.comboAt(i)]
+	p.once.Do(func() {
+		sc, proto, _, _ := e.g.runAt(i)
+		p.key, p.ok = scenario.NewKeyPrefix(sc, proto)
+	})
+	return p
+}
+
+// getReplay borrows replay scratch from the free list.
+func (e *executor) getReplay() *replayState {
+	e.replayMu.Lock()
+	defer e.replayMu.Unlock()
+	if n := len(e.replays); n > 0 {
+		st := e.replays[n-1]
+		e.replays = e.replays[:n-1]
+		return st
+	}
+	return &replayState{r: e.disk.NewReader()}
+}
+
+// putReplay returns scratch to the free list.
+func (e *executor) putReplay(st *replayState) {
+	e.replayMu.Lock()
+	e.replays = append(e.replays, st)
+	e.replayMu.Unlock()
 }
 
 // shardRange returns run range [lo, hi) of shard s.
@@ -162,53 +209,6 @@ func (e *executor) nShards() uint64 {
 	return (e.g.total + size - 1) / size
 }
 
-// memoizeKeys pre-digests one replica's worth of cache keys when the
-// grid repeats. Disjoint index ranges per goroutine, so the fill is
-// race-free and the slices are immutable once published by the Once.
-func (e *executor) memoizeKeys(jobs int) {
-	e.keyOnce.Do(func() {
-		rep := e.g.spec.Replicate
-		if rep <= 1 {
-			return
-		}
-		if jobs < 1 {
-			jobs = 1
-		}
-		baseN := e.g.total / uint64(rep)
-		keys := make([]runcache.Key, baseN)
-		keyOK := make([]bool, baseN)
-		var wg sync.WaitGroup
-		chunk := (baseN + uint64(jobs) - 1) / uint64(jobs)
-		for lo := uint64(0); lo < baseN; lo += chunk {
-			hi := lo + chunk
-			if hi > baseN {
-				hi = baseN
-			}
-			wg.Add(1)
-			go func(lo, hi uint64) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					sc, proto, seed, _ := e.g.runAt(i)
-					keys[i], keyOK[i] = scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		e.keys, e.keyOK, e.baseN = keys, keyOK, baseN
-	})
-}
-
-// keyAt returns run i's cache key, from the memo when the grid
-// repeats.
-func (e *executor) keyAt(i uint64) (runcache.Key, bool) {
-	if e.keys != nil {
-		b := i % e.baseN
-		return e.keys[b], e.keyOK[b]
-	}
-	sc, proto, seed, _ := e.g.runAt(i)
-	return scenario.CacheKey(sc, proto, scenario.Opts{Seed: seed})
-}
-
 // foldShard folds runs [lo, hi) of shard s into a fresh shard aggregate
 // in index order. onRun fires after each folded run (progress
 // accounting); stop is polled between runs and, when it fires, foldShard
@@ -221,7 +221,8 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 			a, err = nil, fmt.Errorf("campaign: run panicked in shard %d: %v", s, pv)
 		}
 	}()
-	e.memoizeKeys(runtime.GOMAXPROCS(0))
+	st := e.getReplay()
+	defer e.putReplay(st)
 	lo, hi := e.shardRange(s)
 	a = newAgg(e.g.cells())
 	// The grid decodes seed-innermost, so a shard is a sequence of
@@ -248,7 +249,7 @@ func (e *executor) foldShard(s uint64, stop func() bool, onRun func()) (a *agg, 
 				blk = &laneBlock{e: e, start: start, lo: blo, hi: bhi}
 			}
 		}
-		res, err := e.oneRun(i, blk)
+		res, err := e.oneRun(i, blk, st)
 		if err != nil {
 			return nil, err
 		}
@@ -304,44 +305,32 @@ func (b *laneBlock) result(i uint64) (scenario.Result, bool) {
 }
 
 // oneRun produces run i's result: disk hit, collapsed duplicate, or a
-// fresh simulation (persisted before returning). The scenario is only
-// constructed if the run actually simulates — on the replay path a run
-// is a key lookup, a disk read, and a decode.
-func (e *executor) oneRun(i uint64, blk *laneBlock) (scenario.Result, error) {
-	sim := func() scenario.Result {
-		if blk != nil {
-			if r, ok := blk.result(i); ok {
-				e.simulated.Add(1)
-				return r
-			}
-		}
-		sc, proto, seed, _ := e.g.runAt(i)
-		e.simulated.Add(1)
-		return scenario.Run(sc, proto, scenario.Opts{Seed: seed})
-	}
-	key, ok := e.keyAt(i)
-	if !ok {
+// fresh simulation (persisted before returning). The store is probed
+// before the single-flight, so on the replay path a run is a key hash,
+// a read out of st's window, and a decode — no scenario, no flight.
+// Misses enter the flight and probe again inside it, since a duplicate
+// flight may have landed in between.
+func (e *executor) oneRun(i uint64, blk *laneBlock, st *replayState) (scenario.Result, error) {
+	p := e.prefixAt(i)
+	if !p.ok {
 		// Library scenarios are always digestible; this is a belt for
 		// future scenario kinds, not a hot path.
-		return sim(), nil
+		return e.simulate(i, blk), nil
+	}
+	key, _ := p.key.Key(&st.h, scenario.Opts{Seed: e.g.seedAt(i)})
+	if r, hit, err := e.probe(st, key); err != nil || hit {
+		return r, err
 	}
 	var runErr error
 	res := e.flight.Do(key, func() scenario.Result {
-		if e.disk != nil {
-			if b, hit, derr := e.disk.Get(key); derr != nil {
-				runErr = derr
-				return scenario.Result{}
-			} else if hit {
-				if r, cerr := decodeResult(b); cerr == nil {
-					e.diskHits.Add(1)
-					return r
-				}
-				// Version/layout mismatch: treat as a miss and
-				// re-simulate. Put below is a first-write-wins no-op,
-				// so the stale record stays until a cache rebuild.
+		if e.disk.Has(key) {
+			r, hit, err := e.probe(st, key)
+			if err != nil || hit {
+				runErr = err
+				return r
 			}
 		}
-		r := sim()
+		r := e.simulate(i, blk)
 		if e.disk != nil {
 			if perr := e.disk.Put(key, encodeResult(r)); perr != nil {
 				runErr = perr
@@ -350,6 +339,35 @@ func (e *executor) oneRun(i uint64, blk *laneBlock) (scenario.Result, error) {
 		return r
 	})
 	return res, runErr
+}
+
+// probe reads key's result from the disk store through st's Reader. A
+// record that does not decode (an older codec layout) is a miss: the
+// run re-simulates, and the Put after it is a first-write-wins no-op,
+// so the stale record stays until a cache rebuild.
+func (e *executor) probe(st *replayState, key runcache.Key) (scenario.Result, bool, error) {
+	b, hit, err := st.r.Get(key)
+	if err != nil || !hit {
+		return scenario.Result{}, false, err
+	}
+	r, err := decodeResult(b)
+	if err != nil {
+		return scenario.Result{}, false, nil
+	}
+	e.diskHits.Add(1)
+	return r, true, nil
+}
+
+// simulate runs i through its lane block when it has one, else alone.
+func (e *executor) simulate(i uint64, blk *laneBlock) scenario.Result {
+	e.simulated.Add(1)
+	if blk != nil {
+		if r, ok := blk.result(i); ok {
+			return r
+		}
+	}
+	sc, proto, seed, _ := e.g.runAt(i)
+	return scenario.Run(sc, proto, scenario.Opts{Seed: seed})
 }
 
 // Job executes one campaign: a sharded sweep of the spec's run grid
@@ -458,7 +476,6 @@ func (j *Job) Execute() error {
 	j.mu.Unlock()
 
 	nShards := j.exec.nShards()
-	j.exec.memoizeKeys(j.opts.Jobs)
 
 	if !j.opts.NoLocalExec {
 		var wg sync.WaitGroup

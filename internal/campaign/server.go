@@ -418,6 +418,10 @@ type Statz struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CachePuts    uint64 `json:"cache_puts"`
 	CacheEntries int    `json:"cache_entries"`
+	// CacheOpen* mirror runcache.Store.OpenStats: how long opening the
+	// store took and the records its recovery scan indexed.
+	CacheOpenMs      float64 `json:"cache_open_ms"`
+	CacheOpenRecords int     `json:"cache_open_records"`
 	// LaneRuns/LanePeels mirror lockstep.Stats: process-wide totals,
 	// where each campaign's Progress counts its own.
 	LaneRuns  int64 `json:"lane_runs"`
@@ -429,14 +433,17 @@ type Statz struct {
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	gets, hits, puts := s.opts.Disk.DiskStats()
+	open := s.opts.Disk.OpenStats()
 	laneRuns, lanePeels := lockstep.Stats()
 	st := Statz{
-		CacheGets:    gets,
-		CacheHits:    hits,
-		CachePuts:    puts,
-		CacheEntries: s.opts.Disk.Len(),
-		LaneRuns:     laneRuns,
-		LanePeels:    lanePeels,
+		CacheGets:        gets,
+		CacheHits:        hits,
+		CachePuts:        puts,
+		CacheEntries:     s.opts.Disk.Len(),
+		CacheOpenMs:      open.Took.Seconds() * 1e3,
+		CacheOpenRecords: open.Records,
+		LaneRuns:         laneRuns,
+		LanePeels:        lanePeels,
 	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)

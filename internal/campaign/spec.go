@@ -306,6 +306,21 @@ func (g *grid) cells() int {
 	return len(g.wifi) * len(g.lte) * len(g.spec.SizesMB) * len(g.protos)
 }
 
+// combos is the number of distinct (scenario, protocol) combinations:
+// every aggregation cell at every location.
+func (g *grid) combos() int { return g.cells() * len(g.locs) }
+
+// comboAt is run i's (scenario, protocol) combination, numbered in grid
+// order: run i is combination comboAt(i) at seed seedAt(i).
+func (g *grid) comboAt(i uint64) int {
+	return int(i / uint64(g.spec.Seeds.Count) % uint64(g.combos()))
+}
+
+// seedAt is run i's seed.
+func (g *grid) seedAt(i uint64) int64 {
+	return g.spec.Seeds.Base + int64(i%uint64(g.spec.Seeds.Count))
+}
+
 // cellAt is runAt's arithmetic-only sibling: the aggregation cell of
 // run i, with no scenario construction. The executor calls it once per
 // run on the replay path, so it must stay allocation-free.

@@ -2,7 +2,6 @@ package ptcp
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/sim"
@@ -215,14 +214,14 @@ func (c *conn) caIncrease(s *sender) float64 {
 	return lia.PerACK(s.cwnd)
 }
 
-var connPool = sync.Pool{New: func() any { return new(conn) }}
+var connPool freeList[conn]
 
 // RunMPTCP transfers size bytes over links — one subflow per link — and
 // returns the connection-level result. Each subflow completes a 2·OWD
 // handshake on its own path before sending (the shortest-RTT subflow
 // starts first, as a SYN on every path at t=0 would). The engine's
-// Horizon (if set) bounds the run. Connection state is pooled: repeated
-// runs allocate nothing in steady state.
+// Horizon (if set) bounds the run. Connection state is reused through
+// a free list: repeated runs allocate nothing in steady state.
 func RunMPTCP(eng *sim.Engine, cfg MPConfig, links []Link, size units.ByteSize) MPResult {
 	if len(links) == 0 {
 		panic("ptcp: RunMPTCP needs at least one link")
@@ -235,7 +234,7 @@ func RunMPTCP(eng *sim.Engine, cfg MPConfig, links []Link, size units.ByteSize) 
 			panic("ptcp: invalid configuration")
 		}
 	}
-	c := connPool.Get().(*conn)
+	c := connPool.get()
 	c.eng = eng
 	c.cfg = cfg
 	c.totalSegs = int(math.Ceil(float64(size) / float64(cfg.MSS)))
@@ -286,6 +285,10 @@ func RunMPTCP(eng *sim.Engine, cfg MPConfig, links []Link, size units.ByteSize) 
 		res.Timeouts += r.Timeouts
 		res.Packets += r.Packets
 	}
-	connPool.Put(c)
+	c.eng = nil // a parked connection must not keep the engine alive
+	for _, sf := range c.subs[:c.active] {
+		sf.eng = nil
+	}
+	connPool.put(c)
 	return res
 }

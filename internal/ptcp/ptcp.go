@@ -602,16 +602,48 @@ func (f *flow) finished(s *sender) bool {
 
 func (f *flow) caIncrease(s *sender) float64 { return 1 / s.cwnd }
 
-var flowPool = sync.Pool{New: func() any { return new(flow) }}
+var flowPool freeList[flow]
+
+// freeList is a mutex-guarded stack of reusable run state. Unlike a
+// sync.Pool it never drops an item — a pool discards some on purpose
+// under -race and all of them across GCs — so a steady-state run
+// allocates nothing in every build mode. It holds as many items as runs
+// were ever concurrent.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops a parked item, or allocates one when none is parked.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return new(T)
+	}
+	it := l.items[n-1]
+	l.items[n-1] = nil
+	l.items = l.items[:n-1]
+	return it
+}
+
+// put parks it for a later get.
+func (l *freeList[T]) put(it *T) {
+	l.mu.Lock()
+	l.items = append(l.items, it)
+	l.mu.Unlock()
+}
 
 // Run transfers size bytes over the link and returns the result. The
-// engine's Horizon (if set) bounds the run. Flow state is pooled: repeated
-// runs (fresh or Reset engines) allocate nothing in steady state.
+// engine's Horizon (if set) bounds the run. Flow state is reused through a
+// free list: repeated runs (fresh or Reset engines) allocate nothing in
+// steady state.
 func Run(eng *sim.Engine, cfg Config, link Link, size units.ByteSize) Result {
 	if cfg.MSS <= 0 || cfg.InitialWindow <= 0 || link.Rate <= 0 || link.QueuePackets <= 0 {
 		panic("ptcp: invalid configuration")
 	}
-	f := flowPool.Get().(*flow)
+	f := flowPool.get()
 	f.totalSegs = int(math.Ceil(float64(size) / float64(cfg.MSS)))
 	f.sender.reset(eng, cfg, link, f, false)
 	f.send()
@@ -622,6 +654,7 @@ func Run(eng *sim.Engine, cfg Config, link Link, size units.ByteSize) Result {
 	if res.Delivered > size {
 		res.Delivered = size
 	}
-	flowPool.Put(f)
+	f.eng = nil // a parked flow must not keep the engine alive
+	flowPool.put(f)
 	return res
 }

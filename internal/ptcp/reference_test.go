@@ -228,7 +228,7 @@ func clampFuzz(rateMbps, rttMs float64, sizeKB, queue, iw int) (Link, Config, un
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(10.0, 50.0, 4096, 64, 10)
 	f.Add(2.0, 20.0, 1024, 32, 10)
-	f.Add(0.7, 300.0, 512, 4, 1)   // tiny queue: timeout-heavy
+	f.Add(0.7, 300.0, 512, 4, 1)    // tiny queue: timeout-heavy
 	f.Add(50.0, 100.0, 8192, 8, 64) // overshoot into mass drops
 	f.Add(1.0, 1.0, 16, 4, 3)
 	f.Fuzz(func(t *testing.T, rateMbps, rttMs float64, sizeKB, queue, iw int) {

@@ -20,6 +20,7 @@
 package runcache
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,6 +30,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Key is a canonical content digest of one run's inputs — in practice a
@@ -54,11 +56,25 @@ const maxSegmentSize = 64 << 20
 // recHeaderSize is magic + key + value length.
 const recHeaderSize = 4 + 32 + 4
 
+// scanBufSize is the recovery scan's read buffer: opening a store costs
+// one read(2) per 64 KiB of segment, not two per record.
+const scanBufSize = 64 << 10
+
 // diskLoc locates one stored value inside a segment.
 type diskLoc struct {
 	seg  int32  // index into Store.segs
 	off  int64  // offset of the value bytes
 	size uint32 // value length
+}
+
+// segment is one segment file and its published length: every byte
+// below end belongs to a complete record. A sealed segment's end never
+// changes; Put advances the active one's after the record is written
+// and before it is indexed, so a reader that bounds its reads by end
+// never sees a record in progress.
+type segment struct {
+	f   *os.File
+	end atomic.Int64
 }
 
 // Store is the disk tier. It is safe for concurrent use. Get touches no
@@ -73,17 +89,25 @@ type Store struct {
 
 	shards [storeShards]storeShard // key→location, striped by key[0]
 
-	// segs is a copy-on-write snapshot of all segment read handles; the
-	// last entry is the active segment. Readers Load it without locking;
-	// rotateLocked publishes a fresh copy under segMu.
-	segs atomic.Pointer[[]*os.File]
+	// segs is a copy-on-write snapshot of all segments; the last entry
+	// is the active one. Readers Load it without locking; rotateLocked
+	// publishes a fresh copy under segMu.
+	segs atomic.Pointer[[]*segment]
 
-	segMu  sync.Mutex // guards active, size, count, rotation, and Put append order
-	active *os.File   // append handle for the last segment
-	size   int64      // current size of the active segment
+	segMu  sync.Mutex // guards active, count, rotation, and Put append order
+	active *segment   // the last segment, which Put appends to
 	count  int        // distinct keys stored (mirrors the shard maps)
 
+	open OpenStats
+
 	nGet, nGetHit, nPut atomic.Uint64
+}
+
+// OpenStats is what OpenStore's recovery scan did.
+type OpenStats struct {
+	Took    time.Duration // wall time of OpenStore
+	Records int           // distinct keys indexed
+	Bytes   int64         // segment bytes scanned, torn tails included
 }
 
 func (s *Store) shard(k Key) *storeShard { return &s.shards[k[0]%storeShards] }
@@ -105,24 +129,32 @@ func (s *Store) nSegs() int {
 	return 0
 }
 
-// appendSeg publishes a new segment-table snapshot with f appended.
-// Callers hold segMu (or own the store exclusively, as OpenStore does).
-func (s *Store) appendSeg(f *os.File) {
-	var cur []*os.File
+// appendSeg publishes a new segment-table snapshot with seg appended and
+// makes it the active segment. Callers hold segMu (or own the store
+// exclusively, as OpenStore does).
+func (s *Store) appendSeg(seg *segment) {
+	var cur []*segment
 	if p := s.segs.Load(); p != nil {
 		cur = *p
 	}
-	next := make([]*os.File, len(cur)+1)
+	next := make([]*segment, len(cur)+1)
 	copy(next, cur)
-	next[len(cur)] = f
+	next[len(cur)] = seg
 	s.segs.Store(&next)
+	s.active = seg
 }
 
 // OpenStore opens (creating if needed) the disk cache rooted at dir and
 // rebuilds the in-memory index from the segment files. A torn record at
 // the tail of any segment — the footprint of a crash mid-append — is
 // truncated away; everything before it is kept.
+//
+// Recovery reads each segment through one fixed buffer in two passes:
+// the first verifies every record and counts keys per index stripe, the
+// second inserts the verified records into stripes sized from those
+// counts, so the index never rehashes while it fills.
 func OpenStore(dir string) (*Store, error) {
+	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runcache: open store: %w", err)
 	}
@@ -132,24 +164,24 @@ func OpenStore(dir string) (*Store, error) {
 	}
 	sort.Strings(names)
 	s := &Store{dir: dir}
-	for i := range s.shards {
-		s.shards[i].index = make(map[Key]diskLoc)
-	}
+	br := bufio.NewReaderSize(nil, scanBufSize)
+	var counts [storeShards]int
 	for _, name := range names {
 		f, err := os.OpenFile(name, os.O_RDWR, 0o644)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("runcache: open segment: %w", err)
 		}
-		end, err := s.recoverSegment(f, int32(s.nSegs()))
+		size, end, err := recoverSegment(br, f, &counts)
 		if err != nil {
 			f.Close()
 			s.Close()
 			return nil, err
 		}
-		s.appendSeg(f)
-		s.size = end
-		s.active = f
+		seg := &segment{f: f}
+		seg.end.Store(end)
+		s.appendSeg(seg)
+		s.open.Bytes += size
 	}
 	if s.nSegs() == 0 {
 		if err := s.rotateLocked(); err != nil {
@@ -157,23 +189,34 @@ func OpenStore(dir string) (*Store, error) {
 			return nil, err
 		}
 	}
+	for i := range s.shards {
+		s.shards[i].index = make(map[Key]diskLoc, counts[i])
+	}
+	for i, seg := range *s.segs.Load() {
+		if err := s.indexSegment(br, seg, int32(i)); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	s.open.Records = s.count
+	s.open.Took = time.Since(start)
 	return s, nil
 }
 
-// recoverSegment scans one segment sequentially, indexing every intact
-// record and truncating the file at the first torn or corrupt one.
-func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
+// recoverSegment scans one segment sequentially through br, verifying
+// every record and counting its key's stripe in counts, and truncates
+// the file at the first torn or corrupt record. It returns the size the
+// file had and the offset it now ends at.
+func recoverSegment(br *bufio.Reader, f *os.File, counts *[storeShards]int) (size, end int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("runcache: stat segment: %w", err)
+		return 0, 0, fmt.Errorf("runcache: stat segment: %w", err)
 	}
-	size := fi.Size()
-	r := io.Reader(f)
-	var off int64
-	hdr := make([]byte, recHeaderSize)
-	var val []byte
+	size = fi.Size()
+	br.Reset(io.NewSectionReader(f, 0, size))
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
+		hdr, err := br.Peek(recHeaderSize)
+		if err != nil {
 			break // clean EOF or torn header: truncate here
 		}
 		if [4]byte(hdr[:4]) != diskMagic {
@@ -183,38 +226,83 @@ func (s *Store) recoverSegment(f *os.File, segIdx int32) (int64, error) {
 		// size an allocation: a record longer than a segment or than the
 		// bytes left in this file is a torn tail.
 		n := int64(binary.LittleEndian.Uint32(hdr[36:40]))
-		if n > maxSegmentSize || off+recHeaderSize+n+4 > size {
+		if n > maxSegmentSize || end+recHeaderSize+n+4 > size {
 			break
 		}
-		if int64(cap(val)) < n+4 {
-			val = make([]byte, n+4)
-		}
-		val = val[:n+4]
-		if _, err := io.ReadFull(r, val); err != nil {
+		stripe := hdr[4] % storeShards // hdr is only valid until br reads on
+		if !checkRecord(br, int(n)) {
 			break
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[4:]) // key + length
-		crc.Write(val[:n])
-		if crc.Sum32() != binary.LittleEndian.Uint32(val[n:]) {
-			break
+		counts[stripe]++
+		end += recHeaderSize + n + 4
+	}
+	if err := f.Truncate(end); err != nil {
+		return 0, 0, fmt.Errorf("runcache: truncating torn tail: %w", err)
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		return 0, 0, err
+	}
+	return size, end, nil
+}
+
+// checkRecord consumes the record at br's head, whose n-byte value the
+// caller has bounds-checked, and reports whether its crc matches. A
+// record that fits the buffer is checked with one crc over its
+// contiguous key, length and value; a longer one streams through the
+// buffer under a running crc.
+func checkRecord(br *bufio.Reader, n int) bool {
+	body := recHeaderSize - 4 + n // key + length + value
+	if rec, err := br.Peek(4 + body + 4); err == nil {
+		ok := crc32.ChecksumIEEE(rec[4:4+body]) == binary.LittleEndian.Uint32(rec[4+body:])
+		br.Discard(len(rec))
+		return ok
+	} else if err != bufio.ErrBufferFull {
+		return false // torn
+	}
+	br.Discard(4) // magic
+	var crc uint32
+	for body > 0 {
+		chunk, err := br.Peek(min(body, br.Size()))
+		if err != nil {
+			return false
 		}
-		var k Key
-		copy(k[:], hdr[4:36])
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		body -= len(chunk)
+		br.Discard(len(chunk))
+	}
+	sum, err := br.Peek(4)
+	if err != nil {
+		return false
+	}
+	ok := crc == binary.LittleEndian.Uint32(sum)
+	br.Discard(4)
+	return ok
+}
+
+// indexSegment inserts seg's records — all verified by recoverSegment —
+// into the index; a key already indexed keeps its first record.
+func (s *Store) indexSegment(br *bufio.Reader, seg *segment, segIdx int32) error {
+	end := seg.end.Load()
+	br.Reset(io.NewSectionReader(seg.f, 0, end))
+	for off := int64(0); off < end; {
+		hdr, err := br.Peek(recHeaderSize)
+		if err != nil {
+			return fmt.Errorf("runcache: indexing segment: %w", err)
+		}
+		k := Key(hdr[4:36])
+		n := int64(binary.LittleEndian.Uint32(hdr[36:40]))
 		sh := s.shard(k)
 		if _, dup := sh.index[k]; !dup {
 			sh.index[k] = diskLoc{seg: segIdx, off: off + recHeaderSize, size: uint32(n)}
 			s.count++
 		}
-		off += recHeaderSize + n + 4
+		rec := recHeaderSize + n + 4
+		if _, err := br.Discard(int(rec)); err != nil {
+			return fmt.Errorf("runcache: indexing segment: %w", err)
+		}
+		off += rec
 	}
-	if err := f.Truncate(off); err != nil {
-		return 0, fmt.Errorf("runcache: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return 0, err
-	}
-	return off, nil
+	return nil
 }
 
 // rotateLocked starts a fresh active segment. Callers hold segMu (or
@@ -225,9 +313,7 @@ func (s *Store) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("runcache: new segment: %w", err)
 	}
-	s.appendSeg(f)
-	s.active = f
-	s.size = 0
+	s.appendSeg(&segment{f: f})
 	return nil
 }
 
@@ -237,7 +323,8 @@ func (s *Store) rotateLocked() error {
 // value read is a pread on the segment file with no lock held, so
 // concurrent Gets proceed fully in parallel (records are immutable once
 // indexed, and the segment snapshot that indexed them is never
-// unpublished while the store is open).
+// unpublished while the store is open). A caller replaying many keys
+// reads faster through its own Reader.
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if s == nil {
 		return nil, false, nil
@@ -247,13 +334,20 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	f := (*s.segs.Load())[loc.seg]
 	v := make([]byte, loc.size)
-	if _, err := f.ReadAt(v, loc.off); err != nil {
-		return nil, false, fmt.Errorf("runcache: reading value: %w", err)
+	if err := s.readAt(v, loc); err != nil {
+		return nil, false, err
 	}
 	s.nGetHit.Add(1)
 	return v, true, nil
+}
+
+// readAt fills v from the segment bytes at loc.
+func (s *Store) readAt(v []byte, loc diskLoc) error {
+	if _, err := (*s.segs.Load())[loc.seg].f.ReadAt(v, loc.off); err != nil {
+		return fmt.Errorf("runcache: reading value: %w", err)
+	}
+	return nil
 }
 
 // Has reports whether k is stored, without reading the value.
@@ -277,30 +371,29 @@ func (s *Store) Put(k Key, v []byte) error {
 	if _, dup := s.lookup(k); dup { // Puts serialize on segMu, so this check is atomic
 		return nil
 	}
-	if s.size >= maxSegmentSize {
+	if s.active.end.Load() >= maxSegmentSize {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	rec := make([]byte, recHeaderSize+len(v)+4)
+	body := recHeaderSize + len(v)
+	rec := make([]byte, body+4)
 	copy(rec[:4], diskMagic[:])
 	copy(rec[4:36], k[:])
 	binary.LittleEndian.PutUint32(rec[36:40], uint32(len(v)))
 	copy(rec[recHeaderSize:], v)
-	crc := crc32.NewIEEE()
-	crc.Write(rec[4:recHeaderSize])
-	crc.Write(v)
-	binary.LittleEndian.PutUint32(rec[recHeaderSize+len(v):], crc.Sum32())
-	if _, err := s.active.Write(rec); err != nil {
+	binary.LittleEndian.PutUint32(rec[body:], crc32.ChecksumIEEE(rec[4:body]))
+	if _, err := s.active.f.Write(rec); err != nil {
 		return fmt.Errorf("runcache: appending record: %w", err)
 	}
-	loc := diskLoc{seg: int32(s.nSegs() - 1), off: s.size + recHeaderSize, size: uint32(len(v))}
+	off := s.active.end.Load()
+	s.active.end.Store(off + int64(len(rec))) // publish before indexing
+	loc := diskLoc{seg: int32(s.nSegs() - 1), off: off + recHeaderSize, size: uint32(len(v))}
 	sh := s.shard(k)
 	sh.mu.Lock()
 	sh.index[k] = loc
 	sh.mu.Unlock()
 	s.count++
-	s.size += int64(len(rec))
 	s.nPut.Add(1)
 	return nil
 }
@@ -324,6 +417,15 @@ func (s *Store) DiskStats() (gets, hits, puts uint64) {
 	return s.nGet.Load(), s.nGetHit.Load(), s.nPut.Load()
 }
 
+// OpenStats reports what OpenStore's recovery scan did; the zero value
+// for a nil store.
+func (s *Store) OpenStats() OpenStats {
+	if s == nil {
+		return OpenStats{}
+	}
+	return s.open
+}
+
 // Sync flushes the active segment to stable storage — the checkpoint
 // operation graceful shutdown relies on.
 func (s *Store) Sync() error {
@@ -335,7 +437,7 @@ func (s *Store) Sync() error {
 	if s.active == nil {
 		return nil
 	}
-	return s.active.Sync()
+	return s.active.f.Sync()
 }
 
 // Close syncs and releases every segment handle. The store must not be
@@ -348,18 +450,18 @@ func (s *Store) Close() error {
 	defer s.segMu.Unlock()
 	var first error
 	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
+		if err := s.active.f.Sync(); err != nil {
 			first = err
 		}
 	}
 	if p := s.segs.Load(); p != nil {
-		for _, f := range *p {
-			if err := f.Close(); err != nil && first == nil {
+		for _, seg := range *p {
+			if err := seg.f.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	s.segs.Store(&[]*os.File{})
+	s.segs.Store(&[]*segment{})
 	s.active = nil
 	return first
 }

@@ -285,6 +285,31 @@ func FuzzStoreRecovery(f *testing.F) {
 		binary.LittleEndian.PutUint32(bad[2*recSize+36:], n)
 		f.Add(bad)
 	}
+	// Records that straddle the scan buffer's edge, one that outgrows
+	// the buffer, and each torn mid-record past the edge.
+	straddle := make([]int, 70) // 70 × 1000-byte values cross 64 KiB
+	for i := range straddle {
+		straddle[i] = 1000
+	}
+	for _, sizes := range [][]int{straddle, {10, scanBufSize + 100, 10}} {
+		dir := f.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, n := range sizes {
+			if err := s.Put(testKey(i), bytes.Repeat([]byte{byte(i)}, n)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		s.Close()
+		raw, err := os.ReadFile(filepath.Join(dir, "cache-000001.seg"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:scanBufSize+recHeaderSize+7])
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		seg := filepath.Join(dir, "cache-000001.seg")

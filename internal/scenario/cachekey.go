@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
 	"math"
 
 	"repro/internal/energy"
@@ -61,14 +63,87 @@ const (
 // (TraceStep ≤ 0 and 1 are one spelling of the default), and the per-run
 // RNG is rebuilt from Seed, so equal keys imply bit-identical results.
 func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
-	if sc.linkSig.kind == linkCustom || opt.Recorder != nil {
+	if opt.Recorder != nil {
 		return runcache.Key{}, false
 	}
-	if opt.TraceStep <= 0 {
-		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
-	}
 	var buf [1024]byte
-	b := buf[:0]
+	b, ok := appendKeyPrefix(buf[:0], sc, proto)
+	if !ok {
+		return runcache.Key{}, false
+	}
+	return sha256.Sum256(appendKeySuffix(b, opt)), true
+}
+
+// KeyPrefix is the (scenario, protocol) half of a run key, hashed once:
+// the SHA-256 state after appendKeyPrefix. A campaign builds one per
+// grid cell and location, then keys each of its runs by hashing only the
+// seed and options. A KeyPrefix is immutable and safe to share.
+type KeyPrefix struct {
+	state []byte // the hash's marshalled midstate
+}
+
+// keyHash is the SHA-256 state machine a KeyHasher reuses.
+type keyHash interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// NewKeyPrefix hashes the (scenario, protocol) half of CacheKey's
+// encoding. ok is false when runs of sc are not cache-eligible.
+func NewKeyPrefix(sc Scenario, proto Protocol) (p KeyPrefix, ok bool) {
+	var buf [1024]byte
+	b, ok := appendKeyPrefix(buf[:0], sc, proto)
+	if !ok {
+		return p, false
+	}
+	h := sha256.New().(keyHash)
+	h.Write(b)
+	st, err := h.MarshalBinary()
+	if err != nil {
+		panic("scenario: saving a run-key midstate: " + err.Error())
+	}
+	return KeyPrefix{state: st}, true
+}
+
+// KeyHasher is the caller-owned state KeyPrefix.Key finishes keys in.
+// crypto/sha256 restores a midstate only through an interface, which
+// moves a fresh hash state and the buffers handed to it to the heap; a
+// KeyHasher keeps one of each for every key. Not safe for concurrent
+// use; the zero value is ready.
+type KeyHasher struct {
+	h   keyHash
+	buf []byte // suffix encoding, then the digest
+}
+
+// Key returns the run key of opt on p's scenario and protocol — the key
+// CacheKey returns — or ok=false when opt is not cache-eligible. It
+// hashes only the seed and options, and allocates nothing once h holds
+// its state.
+func (p *KeyPrefix) Key(h *KeyHasher, opt Opts) (runcache.Key, bool) {
+	if opt.Recorder != nil {
+		return runcache.Key{}, false
+	}
+	if h.h == nil {
+		h.h, h.buf = sha256.New().(keyHash), make([]byte, 0, 32)
+	}
+	if err := h.h.UnmarshalBinary(p.state); err != nil {
+		panic("scenario: restoring a run-key midstate: " + err.Error())
+	}
+	h.buf = appendKeySuffix(h.buf[:0], opt)
+	h.h.Write(h.buf)
+	h.buf = h.h.Sum(h.buf[:0])
+	return runcache.Key(h.buf), true
+}
+
+// appendKeyPrefix encodes the (scenario, protocol) half of a run key:
+// magic and schema, link signature, name, device, RTTs, horizon, app
+// power, controller overrides, workload, and protocol. ok is false when
+// the scenario's link builders or workload are opaque to the encoding.
+func appendKeyPrefix(b []byte, sc Scenario, proto Protocol) ([]byte, bool) {
+	if sc.linkSig.kind == linkCustom {
+		return b, false
+	}
 	b = appendStr(b, keyMagic)
 	b = appendU64(b, keySchema)
 	b = appendU8(b, byte(sc.linkSig.kind))
@@ -116,17 +191,24 @@ func CacheKey(sc Scenario, proto Protocol, opt Opts) (runcache.Key, bool) {
 		b = appendF64(b, w.ChunkInterval)
 		b = appendU64(b, uint64(w.BufferAhead))
 	default:
-		return runcache.Key{}, false
+		return b, false
 	}
-	b = appendU64(b, uint64(proto))
+	return appendU64(b, uint64(proto)), true
+}
+
+// appendKeySuffix encodes the per-run half of a run key: seed, tracing,
+// and trace step.
+func appendKeySuffix(b []byte, opt Opts) []byte {
+	if opt.TraceStep <= 0 {
+		opt.TraceStep = 1 // mirror runOne's default so both spellings share a key
+	}
 	b = appendU64(b, uint64(opt.Seed))
 	if opt.Trace {
 		b = appendU8(b, 1)
 	} else {
 		b = appendU8(b, 0)
 	}
-	b = appendF64(b, opt.TraceStep)
-	return sha256.Sum256(b), true
+	return appendF64(b, opt.TraceStep)
 }
 
 // The run key's append-style encoders: fixed-width little-endian

@@ -293,6 +293,56 @@ func TestCacheKeyAllocs(t *testing.T) {
 	}
 }
 
+// prefixKey keys in through the per-cell path: a KeyPrefix of its
+// scenario and protocol, finished with its options.
+func (in keyInput) prefixKey(h *KeyHasher) (runcache.Key, bool) {
+	p, ok := NewKeyPrefix(in.Sc, in.Proto)
+	if !ok {
+		return runcache.Key{}, false
+	}
+	return p.Key(h, in.Opt)
+}
+
+// TestKeyPrefixMatchesLibrary checks the per-cell key path against
+// CacheKey on every library constructor and workload type, at several
+// seeds and trace options, and on the runs CacheKey refuses.
+func TestKeyPrefixMatchesLibrary(t *testing.T) {
+	var h KeyHasher
+	for _, in := range keyInputs() {
+		for _, opt := range []Opts{in.Opt, {}, {Seed: -1}, {Seed: 1 << 62, TraceStep: -1}, {Trace: true, TraceStep: 2}} {
+			in.Opt = opt
+			want := in.key(t)
+			if got, ok := in.prefixKey(&h); !ok || got != want {
+				t.Errorf("%s %+v: prefix key %x (ok=%v), CacheKey %x", in.Sc.Name, opt, got, ok, want)
+			}
+		}
+	}
+	sc := StaticLab(energy.GalaxyS3(), 12, 4.5, workload.FileDownload{Size: units.MB})
+	custom, ptr := sc, sc
+	custom.linkSig = linkSig{}
+	ptr.Work = &workload.FileDownload{Size: units.MB}
+	for _, in := range []keyInput{{Sc: custom}, {Sc: ptr}, {Sc: sc, Opt: Opts{Recorder: &trace.Metrics{}}}} {
+		if _, ok := in.prefixKey(&h); ok {
+			t.Errorf("%+v: prefix path keyed a run CacheKey refuses", in.Opt)
+		}
+	}
+}
+
+// TestKeyPrefixAllocs keeps finishing a key off the heap once the
+// hasher holds its state.
+func TestKeyPrefixAllocs(t *testing.T) {
+	in := keyInputs()[0]
+	p, ok := NewKeyPrefix(in.Sc, in.Proto)
+	if !ok {
+		t.Fatal("not keyable")
+	}
+	var h KeyHasher
+	p.Key(&h, in.Opt)
+	if n := testing.AllocsPerRun(100, func() { p.Key(&h, in.Opt) }); n != 0 {
+		t.Errorf("KeyPrefix.Key allocates %v times per call", n)
+	}
+}
+
 // fuzzKeyInput builds a library scenario from fuzz parameters.
 func fuzzKeyInput(ctor, flags uint8, a, b float64, n int64, seed int64) keyInput {
 	dev := energy.GalaxyS3()
@@ -346,7 +396,8 @@ func fuzzKeyInput(ctor, flags uint8, a, b float64, n int64, seed int64) keyInput
 // keyed fields: equal inputs give equal keys, an input that differs
 // from another in one field — any field, set to any value — keys apart
 // from it, and two independently built inputs share a key only when
-// every keyed field matches bit for bit.
+// every keyed field matches bit for bit. The per-cell path (KeyPrefix)
+// must give every input CacheKey's key.
 func FuzzRunKeyInjective(f *testing.F) {
 	f.Add(uint8(0), uint8(0), 16.0, 4.5, int64(3), int64(1), uint16(0), uint64(0), "")
 	f.Add(uint8(12), uint8(255), 0.25, -0.0, int64(-1), int64(-7), uint16(40), math.Float64bits(16.04), "x")
@@ -360,6 +411,10 @@ func FuzzRunKeyInjective(f *testing.F) {
 		}
 		if k2 := fuzzKeyInput(ctor, flags, a, b, n, seed).key(t); k2 != k {
 			t.Fatal("equal inputs key apart")
+		}
+		var h KeyHasher
+		if kp, ok := in.prefixKey(&h); !ok || kp != k {
+			t.Fatalf("prefix key %x (ok=%v), CacheKey %x", kp, ok, k)
 		}
 		// One field set to a fuzzed value.
 		var leaves []string
@@ -391,7 +446,10 @@ func FuzzRunKeyInjective(f *testing.F) {
 		sameKey := func(x, y keyInput) {
 			t.Helper()
 			kx, _ := CacheKey(x.Sc, x.Proto, x.Opt)
-			ky, _ := CacheKey(y.Sc, y.Proto, y.Opt)
+			ky, oky := CacheKey(y.Sc, y.Proto, y.Opt)
+			if kp, okp := y.prefixKey(&h); kp != ky || okp != oky {
+				t.Fatalf("prefix key %x (ok=%v), CacheKey %x (ok=%v)", kp, okp, ky, oky)
+			}
 			dx, dy := leafDump(x), leafDump(y)
 			if same := slices.Equal(dx, dy); (kx == ky) != same {
 				t.Fatalf("keys equal = %v, keyed fields equal = %v\n%v\n%v", kx == ky, same, dx, dy)
